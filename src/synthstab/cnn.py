@@ -224,7 +224,10 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read a tensors file back; dict preserves on-disk order."""
+    """Read a tensors file back; dict preserves on-disk order.
+
+    A tensor holding NaN or infinite values is rejected like a corrupt file.
+    """
     try:
         with open(path, "rb") as fh:
             payload = fh.read()
@@ -250,5 +253,8 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         count = int(np.prod(dims)) if dims else 1
         data = take(8 * count)
-        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        arr = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(arr).all():
+            raise IoFailureError(f"{path}: tensor {name} holds non-finite values")
+        tensors[name] = arr
     return tensors

@@ -52,6 +52,10 @@ class NonFiniteLossError(SynthStabError):
         )
 
 
+class NonFiniteEstimateError(SynthStabError):
+    """A backend produced a NaN or infinite motion estimate."""
+
+
 class ShapeMismatchError(SynthStabError):
     """Tensor shape does not match the expected model geometry."""
 

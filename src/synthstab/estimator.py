@@ -20,6 +20,7 @@ from .errors import (
     DegenerateFlowError,
     InvalidSpecError,
     IoFailureError,
+    NonFiniteEstimateError,
     NonFiniteLossError,
     ShapeMismatchError,
     SynthStabError,
@@ -349,6 +350,10 @@ class LearnedEstimator:
         mean_rs, std_rs = self.norms["rs"]
         out_tr = self.nets["tr"].predict(batch)[0] * std_tr + mean_tr
         out_rs = self.nets["rs"].predict(batch)[0] * std_rs + mean_rs
+        if not (np.isfinite(out_tr).all() and np.isfinite(out_rs).all()):
+            raise NonFiniteEstimateError(
+                f"learned network output is not finite: {out_tr.tolist()}, {out_rs.tolist()}"
+            )
         s = max(float(out_rs[1]), MIN_PREDICTED_SCALE)
         return AffineParams(
             tx=float(out_tr[0]) / r,

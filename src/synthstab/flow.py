@@ -72,6 +72,22 @@ def _build_pyramid(
     return pyr, sizes
 
 
+def _parabolic_step(
+    d: np.ndarray, lo: np.ndarray, best: np.ndarray, hi: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Shift ``d`` to the vertex of the parabola through (lo, best, hi).
+
+    Applied where ``mask`` holds, both neighbours are in-frame SADs and
+    the parabola opens upward; the step is clipped to half a pixel.
+    """
+    lo_f = lo.astype(np.float64)
+    hi_f = hi.astype(np.float64)
+    denom = lo_f - 2.0 * best + hi_f
+    step = mask & (lo < INVALID_SAD) & (hi < INVALID_SAD) & (denom > 0)
+    offset = np.divide(0.5 * (lo_f - hi_f), denom, out=np.zeros_like(d), where=step)
+    return np.where(step, d + np.clip(offset, -0.5, 0.5), d)
+
+
 def _match_level(
     a: np.ndarray,
     b: np.ndarray,
@@ -86,68 +102,54 @@ def _match_level(
     nby, nbx = seed_du.shape
     vol = sad_volume(a, b, block_size, seed_du, seed_dv, radius)
     k = 2 * radius + 1
-    u = np.zeros((nby, nbx), dtype=np.float64)
-    v = np.zeros((nby, nbx), dtype=np.float64)
-    valid = np.zeros((nby, nbx), dtype=bool)
     area = block_size * block_size
-    for by in range(nby):
-        for bx in range(nbx):
-            blk = a[
-                by * block_size : (by + 1) * block_size,
-                bx * block_size : (bx + 1) * block_size,
-            ]
-            if int(blk.max()) - int(blk.min()) < TEXTURE_MIN_RANGE:
-                continue
-            win = vol[by, bx]
-            flat = int(np.argmin(win))
-            best = int(win.flat[flat])
-            if best >= INVALID_SAD:
-                continue
-            if best > max_sad_per_pixel * area:
-                continue
-            j, i = divmod(flat, k)
-            du = float(seed_du[by, bx] + i - radius)
-            dv = float(seed_dv[by, bx] + j - radius)
-            if subpixel and best > 0:
-                # An inexact minimum on the window edge cannot be
-                # bracketed, and one whose matched region touches the
-                # frame border is usually a clamped version of a match
-                # that left the frame; both read as biased motion.  The
-                # border case may be kept (bias stays under a pixel)
-                # for consumers that trim outliers themselves and need
-                # the full spatial spread.
-                if i == 0 or i == k - 1 or j == 0 or j == k - 1:
-                    continue
-                mx = bx * block_size + int(du)
-                my = by * block_size + int(dv)
-                if distrust_border and (
-                    mx <= 0
-                    or my <= 0
-                    or mx + block_size >= b.shape[1]
-                    or my + block_size >= b.shape[0]
-                ):
-                    continue
-                if 0 < i < k - 1:
-                    left = win[j, i - 1]
-                    right = win[j, i + 1]
-                    if left < INVALID_SAD and right < INVALID_SAD:
-                        denom = float(left) - 2.0 * best + float(right)
-                        if denom > 0:
-                            du += float(
-                                np.clip(0.5 * (float(left) - float(right)) / denom, -0.5, 0.5)
-                            )
-                if 0 < j < k - 1:
-                    up = win[j - 1, i]
-                    down = win[j + 1, i]
-                    if up < INVALID_SAD and down < INVALID_SAD:
-                        denom = float(up) - 2.0 * best + float(down)
-                        if denom > 0:
-                            dv += float(
-                                np.clip(0.5 * (float(up) - float(down)) / denom, -0.5, 0.5)
-                            )
-            u[by, bx] = du
-            v[by, bx] = dv
-            valid[by, bx] = True
+    blocks = a[: nby * block_size, : nbx * block_size].reshape(
+        nby, block_size, nbx, block_size
+    )
+    texture = blocks.max(axis=(1, 3)).astype(np.int64) - blocks.min(axis=(1, 3))
+    win = vol.reshape(nby, nbx, k * k)
+    flat = win.argmin(axis=2)
+
+    def at(idx: np.ndarray) -> np.ndarray:
+        idx = np.clip(idx, 0, k * k - 1)
+        return np.take_along_axis(win, idx[:, :, None], axis=2)[:, :, 0]
+
+    best = at(flat)
+    valid = (
+        (texture >= TEXTURE_MIN_RANGE)
+        & (best < INVALID_SAD)
+        & ~(best > max_sad_per_pixel * area)
+    )
+    j, i = np.divmod(flat, k)
+    du_int = seed_du + i - radius
+    dv_int = seed_dv + j - radius
+    du = du_int.astype(np.float64)
+    dv = dv_int.astype(np.float64)
+    if subpixel:
+        refine = valid & (best > 0)
+        # An inexact minimum on the window edge cannot be bracketed, and
+        # one whose matched region touches the frame border is usually a
+        # clamped version of a match that left the frame; both read as
+        # biased motion.  The border case may be kept (bias stays under a
+        # pixel) for consumers that trim outliers themselves and need the
+        # full spatial spread.
+        reject = (i == 0) | (i == k - 1) | (j == 0) | (j == k - 1)
+        if distrust_border:
+            mx = np.arange(nbx)[None, :] * block_size + du_int
+            my = np.arange(nby)[:, None] * block_size + dv_int
+            reject |= (
+                (mx <= 0)
+                | (my <= 0)
+                | (mx + block_size >= b.shape[1])
+                | (my + block_size >= b.shape[0])
+            )
+        valid &= ~(refine & reject)
+        refine &= ~reject
+        best_f = best.astype(np.float64)
+        du = _parabolic_step(du, at(flat - 1), best_f, at(flat + 1), refine)
+        dv = _parabolic_step(dv, at(flat - k), best_f, at(flat + k), refine)
+    u = np.where(valid, du, 0.0)
+    v = np.where(valid, dv, 0.0)
     return u, v, valid
 
 
@@ -196,17 +198,17 @@ def compute_flow(
         bs = sizes[level]
         nby = a.shape[0] // bs
         nbx = a.shape[1] // bs
-        seed_du = np.zeros((nby, nbx), dtype=np.int64)
-        seed_dv = np.zeros((nby, nbx), dtype=np.int64)
         if u is not None:
             cby, cbx = u.shape
-            for by in range(nby):
-                for bx in range(nbx):
-                    sy = min(by * cby // nby, cby - 1)
-                    sx = min(bx * cbx // nbx, cbx - 1)
-                    if valid[sy, sx]:
-                        seed_du[by, bx] = int(round(2.0 * u[sy, sx]))
-                        seed_dv[by, bx] = int(round(2.0 * v[sy, sx]))
+            sy = np.minimum(np.arange(nby) * cby // nby, cby - 1)
+            sx = np.minimum(np.arange(nbx) * cbx // nbx, cbx - 1)
+            cell = np.ix_(sy, sx)
+            # np.round, like Python's round, breaks ties to even.
+            seed_du = np.where(valid[cell], np.round(2.0 * u[cell]), 0.0).astype(np.int64)
+            seed_dv = np.where(valid[cell], np.round(2.0 * v[cell]), 0.0).astype(np.int64)
+        else:
+            seed_du = np.zeros((nby, nbx), dtype=np.int64)
+            seed_dv = np.zeros((nby, nbx), dtype=np.int64)
         u, v, valid = _match_level(
             a,
             b,

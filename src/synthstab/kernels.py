@@ -5,8 +5,8 @@ Every kernel here exists twice: an explicit-loop version compiled with
 one at import time: numba when it is installed and the environment
 variable ``SYNTHSTAB_NO_NUMBA`` is unset (or "0"), numpy otherwise.
 Both variants of each kernel are kept importable so tests can assert
-they agree and ``benchmarks/bench_kernels.py`` can time them against
-each other.
+they agree; ``perfbench/run.py --trace 1`` times the active path at
+each call site.
 
 The affine-sampling and SAD kernels are written so both paths evaluate
 the same floating-point expression tree per pixel (integer arithmetic
@@ -137,24 +137,27 @@ def _sad_volume_np(a, b, block, seed_du, seed_dv, radius):
     h, w = a.shape
     nby, nbx = seed_du.shape
     k = 2 * radius + 1
-    vol = np.full((nby, nbx, k, k), INVALID_SAD, dtype=np.int64)
-    for by in range(nby):
-        for bx in range(nbx):
-            y0 = by * block
-            x0 = bx * block
-            blk = a[y0 : y0 + block, x0 : x0 + block].astype(np.int64)
-            for j in range(k):
-                dv = int(seed_dv[by, bx]) + j - radius
-                ty = y0 + dv
-                if ty < 0 or ty + block > h:
-                    continue
-                for i in range(k):
-                    du = int(seed_du[by, bx]) + i - radius
-                    tx = x0 + du
-                    if tx < 0 or tx + block > w:
-                        continue
-                    cand = b[ty : ty + block, tx : tx + block]
-                    vol[by, bx, j, i] = np.sum(np.abs(blk - cand))
+    # Top-left corner in b of each block displaced by seed - radius.
+    ty = (np.arange(nby) * block)[:, None] + seed_dv - radius
+    tx = (np.arange(nbx) * block)[None, :] + seed_du - radius
+    # Gather each block's (k-1+block)^2 search window with the indices
+    # clamped into the frame; entries that read clamped pixels belong to
+    # out-of-frame offsets and are overwritten below.
+    span = np.arange(k - 1 + block)
+    rows = np.clip(ty[:, :, None] + span, 0, h - 1)
+    cols = np.clip(tx[:, :, None] + span, 0, w - 1)
+    win = b[rows[:, :, :, None], cols[:, :, None, :]]
+    cand = np.lib.stride_tricks.sliding_window_view(win, (block, block), axis=(2, 3))
+    blk = a[: nby * block, : nbx * block].reshape(nby, block, nbx, block).swapaxes(1, 2)
+    diff = cand - blk[:, :, None, None]
+    np.abs(diff, out=diff)
+    vol = diff.sum(axis=(4, 5), dtype=np.int64)
+    off = np.arange(k)
+    ys = ty[:, :, None] + off
+    xs = tx[:, :, None] + off
+    inside_y = (ys >= 0) & (ys + block <= h)
+    inside_x = (xs >= 0) & (xs + block <= w)
+    vol[~(inside_y[:, :, :, None] & inside_x[:, :, None, :])] = INVALID_SAD
     return vol
 
 
@@ -199,6 +202,11 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     ``vol[by, bx, j, i]`` is its SAD against ``b`` displaced by
     ``(seed + (i - radius, j - radius))``.  Displacements that push the
     block outside ``b`` hold ``INVALID_SAD``.  Exact in both paths.
+
+    Pixel values must lie in 0..255 (8-bit frames): the numpy path takes
+    differences in int16, through a temporary of ``nby*nbx*k*k*block*block``
+    int16 entries, with ``k = 2*radius + 1``.  Its memory does not grow
+    with the seed magnitude.
     """
     a = np.ascontiguousarray(a, dtype=np.int16)
     b = np.ascontiguousarray(b, dtype=np.int16)

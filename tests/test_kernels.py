@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthstab import kernels
 from synthstab.kernels import (
@@ -137,6 +139,36 @@ def test_sad_volume_matches_oracle():
         got = sad_volume(a, b, 8, seed_du, seed_dv, 2)
         want = sad_volume_oracle(a, b, 8, seed_du, seed_dv, 2)
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block=st.sampled_from([4, 8, 16]),
+    radius=st.integers(1, 5),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    extra_h=st.integers(0, 15),
+    extra_w=st.integers(0, 15),
+    seed_scale=st.sampled_from(["zero", "radius", "block", "off_frame"]),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_sad_volume_matches_oracle_property(
+    block, radius, rows, cols, extra_h, extra_w, seed_scale, data_seed
+):
+    # Frame sizes the block need not divide; seeds from none up to twice
+    # the frame size, which moves whole search windows off the frame.
+    h = rows * block + extra_h % block
+    w = cols * block + extra_w % block
+    rng = np.random.default_rng(data_seed)
+    a = rng.integers(0, 256, size=(h, w)).astype(np.int16)
+    b = rng.integers(0, 256, size=(h, w)).astype(np.int16)
+    lim = {"zero": 0, "radius": radius, "block": block, "off_frame": 2 * max(h, w)}[seed_scale]
+    seed_du = rng.integers(-lim, lim + 1, size=(rows, cols))
+    seed_dv = rng.integers(-lim, lim + 1, size=(rows, cols))
+    got = sad_volume(a, b, block, seed_du, seed_dv, radius)
+    want = sad_volume_oracle(a, b, block, seed_du, seed_dv, radius)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sad_volume_zero_at_true_shift():
