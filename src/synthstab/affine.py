@@ -59,16 +59,6 @@ class AffineParams:
         return AffineParams(0.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """A matched point pair: (src_x, src_y) maps to (dst_x, dst_y)."""
-
-    src_x: float
-    src_y: float
-    dst_x: float
-    dst_y: float
-
-
 def params_to_matrix(params: AffineParams) -> np.ndarray:
     """Build the 2x3 matrix for ``params``."""
     c = params.s * math.cos(params.theta)
@@ -134,21 +124,28 @@ def invert(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_similarity(correspondences) -> AffineParams:
-    """Least-squares similarity through matched point pairs.
+def fit_similarity(src: np.ndarray, dst: np.ndarray) -> AffineParams:
+    """Least-squares similarity mapping points ``src`` onto ``dst``.
 
+    ``src`` and ``dst`` are ``(n, 2)`` arrays of matched (x, y) points.
     Solves the linear system in (a, b, tx, ty) with the 2x2 block
     [[a, -b], [b, a]], after centering both point clouds on their
     centroids; with two or more distinct source points the solution is
     unique.  Raises :class:`DegenerateConfigurationError` when the
-    source points coincide (or fewer than two pairs are given) and when
-    the optimum collapses to zero scale.
+    arrays are not both ``(n, 2)`` with the same ``n``, when fewer than
+    two pairs are given or the source points coincide, and when the
+    optimum collapses to zero scale.
     """
-    n = len(correspondences)
+    # C order fixes the summation order of the centroids below.
+    src = np.ascontiguousarray(src, dtype=np.float64)
+    dst = np.ascontiguousarray(dst, dtype=np.float64)
+    if src.ndim != 2 or src.shape[1] != 2 or dst.shape != src.shape:
+        raise DegenerateConfigurationError(
+            f"need two (n, 2) point arrays, got shapes {src.shape} and {dst.shape}"
+        )
+    n = src.shape[0]
     if n < 2:
         raise DegenerateConfigurationError(f"need >= 2 correspondences, got {n}")
-    src = np.array([(c.src_x, c.src_y) for c in correspondences], dtype=np.float64)
-    dst = np.array([(c.dst_x, c.dst_y) for c in correspondences], dtype=np.float64)
     src_c = src.mean(axis=0)
     dst_c = dst.mean(axis=0)
     sx, sy = (src - src_c).T

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .estimator import LearnedEstimator, TrainConfig, estimate_sequence, save_weights, train
 from .generate import GenerateConfig, generate_dataset, sample_random_pairs
-from .kernels import backend_name
 from .metrics import MetricsConfig, MetricsReport, batch_summary_rows, evaluate, write_report
 from .smoothing import write_trajectory_csv
 from .stabilizer import CropWindow, StabilizationResult, stabilize_video
@@ -124,7 +123,6 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
     seed = opts.get("seed", 0)
     print(f"seed: {seed}")
-    print(f"kernel backend: {backend_name()}")
     out = args.out
     cfg = GenerateConfig(
         n_videos=opts.get("n_videos", 5),
@@ -150,7 +148,6 @@ def cmd_train(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
     seed = opts.get("seed", 0)
     print(f"seed: {seed}")
-    print(f"kernel backend: {backend_name()}")
     use_flow = not opts.get("no_flow_channel", False, cast=bool)
     cfg = TrainConfig(
         learning_rate=opts.get("learning_rate", 1e-4),
@@ -246,7 +243,6 @@ def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
     seed = opts.get("seed", 0)
     print(f"seed: {seed}")
-    print(f"kernel backend: {backend_name()}")
     backend = opts.get("backend", "blockmatch")
     window = opts.get("window", 51)
     polyorder = opts.get("polyorder", 1)
@@ -313,7 +309,6 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
     seed = opts.get("seed", 0)
     print(f"seed: {seed}")
-    print(f"kernel backend: {backend_name()}")
     cfg = MetricsConfig(
         translation_mode=opts.get("translation_mode", "magnitude", cast=str),
         block_size=opts.get("metric_block_size", 16),
@@ -387,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="key=value config file")
     common.add_argument(
         "--force", action="store_true", help="overwrite existing outputs"
-    )
-    common.add_argument(
-        "--threads", type=int, default=None, help="kernel thread count"
     )
 
     parser = argparse.ArgumentParser(
@@ -492,15 +484,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is not None:
-            if args.threads < 1:
-                raise InvalidSpecError("--threads must be at least 1")
-            try:
-                import numba
-
-                numba.set_num_threads(args.threads)
-            except ImportError:
-                pass
         config = load_config(args.config)
         return args.func(args, config)
     except InvalidSpecError as exc:

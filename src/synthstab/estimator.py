@@ -48,8 +48,7 @@ class OracleEstimator:
         self._by_frame = marks_by_frame(marks)
 
     def estimate(self, pair_index: int) -> AffineParams:
-        corrs = pair_correspondences(self._by_frame, pair_index)
-        return fit_similarity(corrs)
+        return fit_similarity(*pair_correspondences(self._by_frame, pair_index))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def robust_fit_flow(flow: FlowField) -> AffineParams:
         v = v[coarse_keep]
     dst = centers + np.stack([u, v], axis=1)
     src = centers
-    params = fit_similarity_points(src, dst)
+    params = fit_similarity(src, dst)
     for _ in range(ROBUST_ROUNDS):
         pred = apply_transform(params_to_matrix(params), src)
         residuals = np.hypot(pred[:, 0] - dst[:, 0], pred[:, 1] - dst[:, 1])
@@ -93,18 +92,8 @@ def robust_fit_flow(flow: FlowField) -> AffineParams:
             break
         src = src[keep]
         dst = dst[keep]
-        params = fit_similarity_points(src, dst)
+        params = fit_similarity(src, dst)
     return params
-
-
-def fit_similarity_points(src: np.ndarray, dst: np.ndarray) -> AffineParams:
-    from .affine import Correspondence
-
-    corrs = [
-        Correspondence(float(s[0]), float(s[1]), float(d[0]), float(d[1]))
-        for s, d in zip(src, dst)
-    ]
-    return fit_similarity(corrs)
 
 
 class BlockMatchEstimator:

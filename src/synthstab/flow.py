@@ -96,7 +96,6 @@ def _match_level(
     seed_du: np.ndarray,
     seed_dv: np.ndarray,
     subpixel: bool,
-    distrust_border: bool,
     max_sad_per_pixel: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nby, nbx = seed_du.shape
@@ -130,19 +129,19 @@ def _match_level(
         # An inexact minimum on the window edge cannot be bracketed, and
         # one whose matched region touches the frame border is usually a
         # clamped version of a match that left the frame; both read as
-        # biased motion.  The border case may be kept (bias stays under a
-        # pixel) for consumers that trim outliers themselves and need the
-        # full spatial spread.
-        reject = (i == 0) | (i == k - 1) | (j == 0) | (j == k - 1)
-        if distrust_border:
-            mx = np.arange(nbx)[None, :] * block_size + du_int
-            my = np.arange(nby)[:, None] * block_size + dv_int
-            reject |= (
-                (mx <= 0)
-                | (my <= 0)
-                | (mx + block_size >= b.shape[1])
-                | (my + block_size >= b.shape[0])
-            )
+        # biased motion.
+        mx = np.arange(nbx)[None, :] * block_size + du_int
+        my = np.arange(nby)[:, None] * block_size + dv_int
+        reject = (
+            (i == 0)
+            | (i == k - 1)
+            | (j == 0)
+            | (j == k - 1)
+            | (mx <= 0)
+            | (my <= 0)
+            | (mx + block_size >= b.shape[1])
+            | (my + block_size >= b.shape[0])
+        )
         valid &= ~(refine & reject)
         refine &= ~reject
         best_f = best.astype(np.float64)
@@ -159,7 +158,6 @@ def compute_flow(
     block_size: int = 16,
     search_radius: int = 4,
     levels: int = 3,
-    distrust_border: bool = True,
     max_sad_per_pixel: float = QUALITY_MAX_SAD_PER_PIXEL,
 ) -> FlowField:
     """Estimate per-block motion from ``frame_a`` to ``frame_b``.
@@ -217,7 +215,6 @@ def compute_flow(
             seed_du,
             seed_dv,
             subpixel=(level == 0),
-            distrust_border=distrust_border,
             max_sad_per_pixel=max_sad_per_pixel,
         )
     return FlowField(u=u, v=v, valid=valid, block_size=block_size)

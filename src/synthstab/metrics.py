@@ -98,15 +98,10 @@ def _flow_correspondences(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
     block_size: int,
-    distrust_border: bool = True,
     max_sad_per_pixel: float = QUALITY_MAX_SAD_PER_PIXEL,
 ) -> tuple[np.ndarray, np.ndarray]:
     flow = compute_flow(
-        frame_a,
-        frame_b,
-        block_size=block_size,
-        distrust_border=distrust_border,
-        max_sad_per_pixel=max_sad_per_pixel,
+        frame_a, frame_b, block_size=block_size, max_sad_per_pixel=max_sad_per_pixel
     )
     mask = flow.valid.ravel()
     if int(mask.sum()) < 4:

@@ -25,10 +25,9 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.ndimage import uniform_filter
 
-from .affine import AffineParams, wrap_angle
+from .affine import AffineParams, fit_similarity, wrap_angle
 from .errors import InsufficientMarksError, InvalidSpecError
 from .kernels import affine_bilinear
-from . import affine as _affine
 
 TEXTURE_STYLES = ("checker", "noise", "blobs", "mixed")
 
@@ -592,24 +591,23 @@ def marks_by_frame(records: list[MarkRecord]) -> dict[int, dict[int, tuple[float
 
 def pair_correspondences(
     table: dict[int, dict[int, tuple[float, float]]], pair_index: int
-) -> list[_affine.Correspondence]:
-    """Matched mark positions between frame ``pair_index`` and the next."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched mark positions between frame ``pair_index`` and the next.
+
+    Returns ``(src, dst)``, two ``(n, 2)`` float64 arrays of (x, y)
+    positions whose rows follow ascending mark uid.
+    """
     a = table.get(pair_index, {})
     b = table.get(pair_index + 1, {})
     shared = sorted(set(a) & set(b))
     if len(shared) < 2:
         raise InsufficientMarksError(pair_index, len(shared))
-    return [
-        _affine.Correspondence(a[uid][0], a[uid][1], b[uid][0], b[uid][1])
-        for uid in shared
-    ]
+    src = np.array([a[uid] for uid in shared], dtype=np.float64)
+    dst = np.array([b[uid] for uid in shared], dtype=np.float64)
+    return src, dst
 
 
 def ground_truth_pairs(records: list[MarkRecord], n_frames: int) -> list[AffineParams]:
     """Fit the per-pair similarity from shared marks for every frame pair."""
     table = marks_by_frame(records)
-    out = []
-    for i in range(n_frames - 1):
-        corrs = pair_correspondences(table, i)
-        out.append(_affine.fit_similarity(corrs))
-    return out
+    return [fit_similarity(*pair_correspondences(table, i)) for i in range(n_frames - 1)]

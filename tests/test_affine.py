@@ -9,7 +9,6 @@ import pytest
 
 from synthstab.affine import (
     AffineParams,
-    Correspondence,
     apply_transform,
     compose,
     fit_similarity,
@@ -181,17 +180,16 @@ def test_invert_round_trip():
 
 def exact_correspondences(
     p: AffineParams, rng: np.random.Generator, n: int = 10
-) -> list[Correspondence]:
+) -> tuple[np.ndarray, np.ndarray]:
     src = rng.uniform(-100.0, 100.0, size=(n, 2))
-    dst = apply_transform(params_to_matrix(p), src)
-    return [Correspondence(a[0], a[1], b[0], b[1]) for a, b in zip(src, dst)]
+    return src, apply_transform(params_to_matrix(p), src)
 
 
 def test_fit_similarity_exact_recovery():
     rng = np.random.default_rng(23)
     for _ in range(500):
         p = random_params(rng)
-        q = fit_similarity(exact_correspondences(p, rng))
+        q = fit_similarity(*exact_correspondences(p, rng))
         assert abs(q.tx - p.tx) < 1e-9
         assert abs(q.ty - p.ty) < 1e-9
         assert abs(q.theta - p.theta) < 1e-9
@@ -203,9 +201,7 @@ def test_fit_similarity_two_points_suffice():
     m = params_to_matrix(p)
     src = np.array([[0.0, 0.0], [10.0, 4.0]])
     dst = apply_transform(m, src)
-    q = fit_similarity(
-        [Correspondence(*src[0], *dst[0]), Correspondence(*src[1], *dst[1])]
-    )
+    q = fit_similarity(src, dst)
     assert q.tx == pytest.approx(p.tx, abs=1e-9)
     assert q.theta == pytest.approx(p.theta, abs=1e-9)
 
@@ -218,9 +214,7 @@ def test_fit_similarity_is_least_squares():
     m = params_to_matrix(p)
     src = rng.uniform(-50.0, 50.0, size=(40, 2))
     dst = apply_transform(m, src) + rng.normal(0.0, 0.5, size=(40, 2))
-    fit = fit_similarity(
-        [Correspondence(a[0], a[1], b[0], b[1]) for a, b in zip(src, dst)]
-    )
+    fit = fit_similarity(src, dst)
     fit_m = params_to_matrix(fit)
     res_fit = np.sum((apply_transform(fit_m, src) - dst) ** 2)
     res_true = np.sum((apply_transform(m, src) - dst) ** 2)
@@ -229,17 +223,26 @@ def test_fit_similarity_is_least_squares():
 
 def test_fit_similarity_rejects_degenerate_input():
     with pytest.raises(DegenerateConfigurationError):
-        fit_similarity([])
+        fit_similarity(np.empty((0, 2)), np.empty((0, 2)))
     with pytest.raises(DegenerateConfigurationError):
-        fit_similarity([Correspondence(1.0, 2.0, 3.0, 4.0)])
-    coincident = [Correspondence(5.0, 5.0, 1.0, 2.0), Correspondence(5.0, 5.0, 3.0, 4.0)]
+        fit_similarity(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
     with pytest.raises(DegenerateConfigurationError):
-        fit_similarity(coincident)
+        fit_similarity(np.array([[5.0, 5.0], [5.0, 5.0]]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_fit_similarity_rejects_bad_shapes():
+    src = np.array([[0.0, 0.0], [10.0, 4.0], [3.0, -2.0]])
+    with pytest.raises(DegenerateConfigurationError):
+        fit_similarity(src, src[:2])
+    with pytest.raises(DegenerateConfigurationError):
+        fit_similarity(np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(DegenerateConfigurationError):
+        fit_similarity(src.ravel(), src.ravel())
 
 
 def test_fit_similarity_theta_boundary():
     # A half-turn lands exactly on the +pi boundary of the range.
     p = AffineParams(0.0, 0.0, math.pi, 1.0)
     rng = np.random.default_rng(31)
-    q = fit_similarity(exact_correspondences(p, rng))
+    q = fit_similarity(*exact_correspondences(p, rng))
     assert q.theta == pytest.approx(math.pi)

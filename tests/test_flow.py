@@ -22,7 +22,7 @@ from synthstab.kernels import INVALID_SAD, sad_volume
 
 
 def match_level_reference(
-    a, b, block_size, radius, seed_du, seed_dv, subpixel, distrust_border, max_sad_per_pixel
+    a, b, block_size, radius, seed_du, seed_dv, subpixel, max_sad_per_pixel
 ):
     nby, nbx = seed_du.shape
     vol = sad_volume(a, b, block_size, seed_du, seed_dv, radius)
@@ -54,7 +54,7 @@ def match_level_reference(
                     continue
                 mx = bx * block_size + int(du)
                 my = by * block_size + int(dv)
-                if distrust_border and (
+                if (
                     mx <= 0
                     or my <= 0
                     or mx + block_size >= b.shape[1]
@@ -91,7 +91,6 @@ def compute_flow_reference(
     block_size=16,
     search_radius=4,
     levels=3,
-    distrust_border=True,
     max_sad_per_pixel=QUALITY_MAX_SAD_PER_PIXEL,
 ):
     pyr_a, sizes = _build_pyramid(np.asarray(frame_a), levels, block_size)
@@ -119,7 +118,6 @@ def compute_flow_reference(
             seed_du,
             seed_dv,
             level == 0,
-            distrust_border,
             max_sad_per_pixel,
         )
     return u, v, valid
@@ -163,11 +161,7 @@ def _crop_vs_stabilized():
 
 
 def _random_pairs():
-    pairs = []
-    for s in generate.sample_random_pairs(8, side=64, seed=5):
-        pairs.append((s.frame_a, s.frame_b, {}))
-        pairs.append((s.frame_a, s.frame_b, {"distrust_border": False}))
-    return pairs
+    return [(s.frame_a, s.frame_b, {}) for s in generate.sample_random_pairs(8, side=64, seed=5)]
 
 
 PAIR_KINDS = {

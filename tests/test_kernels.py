@@ -1,17 +1,12 @@
-"""Tests for the numeric kernels and their numba/numpy path agreement."""
+"""Tests for the numeric kernels against brute-force oracles."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthstab import kernels
 from synthstab.kernels import (
     INVALID_SAD,
     affine_bilinear,
@@ -20,8 +15,6 @@ from synthstab.kernels import (
     conv2d_forward,
     sad_volume,
 )
-
-HAVE_NUMBA = kernels.NUMBA_AVAILABLE
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles
@@ -235,66 +228,9 @@ def test_conv2d_backward_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# numba/numpy path agreement
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-def test_affine_bilinear_paths_bit_identical():
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        tex = np.ascontiguousarray(rng.uniform(0.0, 255.0, size=(20, 26)))
-        m = rng.uniform(-1.5, 1.5, size=6)
-        args = (tex, m[0], m[1], m[2] + 8.0, m[3], m[4], m[5] + 8.0, 15, 17)
-        out_np, in_np = kernels._affine_bilinear_np(*args)
-        out_nb, in_nb = kernels._affine_bilinear_nb(*args)
-        np.testing.assert_array_equal(out_np, out_nb)
-        np.testing.assert_array_equal(in_np, in_nb)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-def test_sad_volume_paths_bit_identical():
-    rng = np.random.default_rng(19)
-    a = np.ascontiguousarray(rng.integers(0, 256, size=(24, 24)).astype(np.int16))
-    b = np.ascontiguousarray(rng.integers(0, 256, size=(24, 24)).astype(np.int16))
-    seed_du = np.ascontiguousarray(rng.integers(-2, 3, size=(3, 3)))
-    seed_dv = np.ascontiguousarray(rng.integers(-2, 3, size=(3, 3)))
-    got_np = kernels._sad_volume_np(a, b, 8, seed_du, seed_dv, 3)
-    got_nb = kernels._sad_volume_nb(a, b, 8, seed_du, seed_dv, 3)
-    np.testing.assert_array_equal(got_np, got_nb)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-def test_conv2d_paths_agree_to_rounding():
-    rng = np.random.default_rng(23)
-    xp = np.ascontiguousarray(rng.normal(size=(2, 2, 9, 9)))
-    w = np.ascontiguousarray(rng.normal(size=(3, 2, 3, 3)))
-    b = np.ascontiguousarray(rng.normal(size=3))
-    f_np = kernels._conv2d_forward_np(xp, w, b, 2)
-    f_nb = kernels._conv2d_forward_nb(xp, w, b, 2)
-    np.testing.assert_allclose(f_np, f_nb, rtol=1e-12, atol=1e-12)
-    dy = np.ascontiguousarray(rng.normal(size=f_np.shape))
-    for g_np, g_nb in zip(
-        kernels._conv2d_backward_np(xp, w, dy, 2),
-        kernels._conv2d_backward_nb(xp, w, dy, 2),
-    ):
-        np.testing.assert_allclose(g_np, g_nb, rtol=1e-12, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
+# Backend name
 # ---------------------------------------------------------------------------
 
 
 def test_backend_name_valid():
-    assert backend_name() in ("numba", "numpy")
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, SYNTHSTAB_NO_NUMBA="1")
-    code = "from synthstab import kernels; print(kernels.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
+    assert backend_name() == "numpy"

@@ -308,6 +308,20 @@ def test_pair_correspondences_requires_shared_marks():
     assert info.value.n_shared == 0
 
 
+def test_pair_correspondences_returns_uid_ordered_arrays():
+    # Insertion order differs from uid order; uid 11 is only in frame 1.
+    table = {
+        0: {7: (1.0, 2.0), 3: (5.0, 6.0), 9: (0.5, 0.25)},
+        1: {9: (1.5, 1.25), 11: (0.0, 0.0), 3: (7.0, 8.0), 7: (3.0, 4.0)},
+    }
+    src, dst = pair_correspondences(table, 0)
+    for arr in (src, dst):
+        assert arr.dtype == np.float64
+        assert arr.shape == (3, 2)
+    np.testing.assert_array_equal(src, [[5.0, 6.0], [1.0, 2.0], [0.5, 0.25]])
+    np.testing.assert_array_equal(dst, [[7.0, 8.0], [3.0, 4.0], [1.5, 1.25]])
+
+
 def test_emit_mark_points_validation():
     scene = build_scene(SceneSpec(seed=19))
     pose = CameraPose(250.0, 250.0, 0.0, 1.0)
