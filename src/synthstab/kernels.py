@@ -3,11 +3,13 @@
 Each kernel has one implementation.  ``perfbench/run.py --trace 1``
 times each one at its call sites.
 
-The affine-sampling kernel evaluates one floating-point expression tree
-per pixel and the SAD kernel works in integers, so both are exact
-against their brute-force loop oracles, not merely close.  The
-convolution kernels accumulate with einsum, so they match loop oracles
-only to rounding error.
+``bilinear_sample`` is the one bilinear interpolation body: it
+evaluates one floating-point expression tree per sample position, and
+``affine_bilinear`` only builds those positions from a 2x3 matrix.  The
+SAD kernel works in integers.  So both are exact against their
+brute-force loop oracles, not merely close.  The convolution kernels
+accumulate with einsum, so they match loop oracles only to rounding
+error.
 """
 
 from __future__ import annotations
@@ -23,24 +25,16 @@ INVALID_SAD = np.int64(2) ** 62
 # ---------------------------------------------------------------------------
 
 
-def affine_bilinear(tex, matrix, out_h, out_w):
-    """Sample ``tex`` at affinely mapped output-pixel positions.
+def bilinear_sample(tex, sx, sy):
+    """Sample ``tex`` bilinearly at texture coordinates ``(sx, sy)``.
 
-    ``matrix`` is a 2x3 array mapping output pixel (x, y) to texture
-    coordinates.  Returns ``(out, inside)`` where ``inside`` marks
-    output pixels whose sample position lies within the texture;
-    outside pixels are 0.
+    ``sx`` and ``sy`` are float64 arrays of one shape, any number of
+    dimensions.  Returns ``(out, inside)`` of that shape, where
+    ``inside`` marks positions within the texture; outside positions
+    are 0.
     """
     tex = np.ascontiguousarray(tex, dtype=np.float64)
-    m = np.asarray(matrix, dtype=np.float64)
     th, tw = tex.shape
-    ys, xs = np.meshgrid(
-        np.arange(out_h, dtype=np.float64),
-        np.arange(out_w, dtype=np.float64),
-        indexing="ij",
-    )
-    sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
-    sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
     inside = (sx >= 0.0) & (sx <= tw - 1.0) & (sy >= 0.0) & (sy <= th - 1.0)
     x0 = np.floor(sx)
     y0 = np.floor(sy)
@@ -59,6 +53,25 @@ def affine_bilinear(tex, matrix, out_h, out_w):
     ) * fy
     out = np.where(inside, val, 0.0)
     return out, inside
+
+
+def affine_bilinear(tex, matrix, out_h, out_w):
+    """Sample ``tex`` at affinely mapped output-pixel positions.
+
+    ``matrix`` is a 2x3 array mapping output pixel (x, y) to texture
+    coordinates.  Returns ``(out, inside)`` where ``inside`` marks
+    output pixels whose sample position lies within the texture;
+    outside pixels are 0.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    ys, xs = np.meshgrid(
+        np.arange(out_h, dtype=np.float64),
+        np.arange(out_w, dtype=np.float64),
+        indexing="ij",
+    )
+    sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
+    sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
+    return bilinear_sample(tex, sx, sy)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     SeriesTooShortError,
 )
 from .flow import QUALITY_MAX_SAD_PER_PIXEL, compute_flow
-from .kernels import affine_bilinear
+from .kernels import affine_bilinear, bilinear_sample
 from .stabilizer import CropWindow
 
 MIN_SERIES_LENGTH = 8
@@ -127,59 +127,65 @@ def _refine_correspondences(
 
     Gradient descent on the sampled patch difference removes the
     integer-grid and window-clamping bias of SAD matching.  Cells whose
-    refined patch leaves the frame, lands on warp fill, or drifts more
-    than 1.5 px from the seed are dropped as untrustworthy.
+    template is flat, whose refined patch leaves the frame or lands on
+    warp fill, or which drift more than 1.5 px from the seed are
+    dropped as untrustworthy.  All cells are refined together: each
+    iteration samples the patches of every cell still moving in one
+    gather, and a cell stops once both steps are below 1e-3 px.
     """
     tpl_frame = np.asarray(frame_a, dtype=np.float64)
     tgt = np.asarray(frame_b, dtype=np.float64)
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
     bs = block_size
     half = (bs - 1) / 2.0
-    kept_src: list[tuple[float, float]] = []
-    kept_dst: list[tuple[float, float]] = []
-    for (cx, cy), (px, py) in zip(src, dst):
-        x0 = int(round(cx - half))
-        y0 = int(round(cy - half))
-        tpl = tpl_frame[y0 : y0 + bs, x0 : x0 + bs]
-        gy, gx = np.gradient(tpl)
-        gxx = float((gx * gx).sum())
-        gxy = float((gx * gy).sum())
-        gyy = float((gy * gy).sum())
-        det = gxx * gyy - gxy * gxy
-        if det < 1e-8:
-            continue
-        u = float(px - cx)
-        v = float(py - cy)
-        ok = True
-        for _ in range(iterations):
-            patch, inside = affine_bilinear(
-                tgt,
-                np.array([[1.0, 0.0, x0 + u], [0.0, 1.0, y0 + v]]),
-                bs,
-                bs,
-            )
-            if not inside.all() or patch.min() < 4.0:
-                ok = False
-                break
-            err = patch - tpl
-            ex = float((gx * err).sum())
-            ey = float((gy * err).sum())
-            du = -(gyy * ex - gxy * ey) / det
-            dv = -(gxx * ey - gxy * ex) / det
-            u += du
-            v += dv
-            if abs(du) < 1e-3 and abs(dv) < 1e-3:
-                break
-        if not ok:
-            continue
-        if abs(u - float(px - cx)) > 1.5 or abs(v - float(py - cy)) > 1.5:
-            continue
-        kept_src.append((float(cx), float(cy)))
-        kept_dst.append((float(cx) + u, float(cy) + v))
-    if len(kept_src) < 4:
-        raise DegenerateError(
-            f"only {len(kept_src)} cells survive photometric refinement"
-        )
-    return np.asarray(kept_src), np.asarray(kept_dst)
+    cx, cy = src[:, 0], src[:, 1]
+    x0 = np.round(cx - half).astype(np.int64)
+    y0 = np.round(cy - half).astype(np.int64)
+    span = np.arange(bs)
+    tpl = tpl_frame[(y0[:, None] + span)[:, :, None], (x0[:, None] + span)[:, None, :]]
+    gy, gx = np.gradient(tpl, axis=(1, 2))
+    gxx = (gx * gx).sum(axis=(1, 2))
+    gxy = (gx * gy).sum(axis=(1, 2))
+    gyy = (gy * gy).sum(axis=(1, 2))
+    det = gxx * gyy - gxy * gxy
+    u0 = dst[:, 0] - cx
+    v0 = dst[:, 1] - cy
+    u = u0.copy()
+    v = v0.copy()
+    alive = ~(det < 1e-8)
+    active = np.flatnonzero(alive)
+    ys, xs = np.meshgrid(
+        np.arange(bs, dtype=np.float64), np.arange(bs, dtype=np.float64), indexing="ij"
+    )
+    # affine_bilinear's expression tree for [[1, 0, x0 + u], [0, 1, y0 + v]].
+    base_x = 1.0 * xs + 0.0 * ys
+    base_y = 0.0 * xs + 1.0 * ys
+    for _ in range(iterations):
+        if active.size == 0:
+            break
+        sx = base_x + (x0[active] + u[active])[:, None, None]
+        sy = base_y + (y0[active] + v[active])[:, None, None]
+        patch, inside = bilinear_sample(tgt, sx, sy)
+        ok = inside.all(axis=(1, 2)) & ~(patch.min(axis=(1, 2)) < 4.0)
+        alive[active[~ok]] = False
+        active = active[ok]
+        err = patch[ok] - tpl[active]
+        ex = (gx[active] * err).sum(axis=(1, 2))
+        ey = (gy[active] * err).sum(axis=(1, 2))
+        d = det[active]
+        du = -(gyy[active] * ex - gxy[active] * ey) / d
+        dv = -(gxx[active] * ey - gxy[active] * ex) / d
+        u[active] += du
+        v[active] += dv
+        active = active[~((np.abs(du) < 1e-3) & (np.abs(dv) < 1e-3))]
+    keep = alive & ~(np.abs(u - u0) > 1.5) & ~(np.abs(v - v0) > 1.5)
+    n_kept = int(keep.sum())
+    if n_kept < 4:
+        raise DegenerateError(f"only {n_kept} cells survive photometric refinement")
+    kept_src = src[keep]
+    kept_dst = kept_src + np.stack([u[keep], v[keep]], axis=1)
+    return kept_src, kept_dst
 
 
 def apply_homography(hom: np.ndarray, points: np.ndarray) -> np.ndarray:
