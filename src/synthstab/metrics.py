@@ -84,7 +84,7 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     a[1::2, 6] = -u * x
     a[1::2, 7] = -u * y
     a[1::2, 8] = -u
-    _, sigma, vt = np.linalg.svd(a)
+    _, sigma, vt = np.linalg.svd(a, full_matrices=False)
     if sigma[7] / max(sigma[0], 1e-300) < RANK_RATIO_MIN:
         raise DegenerateError("correspondences do not determine a homography")
     h_norm = vt[-1].reshape(3, 3)
