@@ -376,19 +376,33 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master random seed")
-    common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument(
-        "--force", action="store_true", help="overwrite existing outputs"
-    )
+def _shared_options(top_level: bool) -> argparse.ArgumentParser:
+    """``--seed``, ``--config`` and ``--force``, given before or after the subcommand.
 
+    Only the top-level copy sets defaults.  The subcommand's copy sets
+    nothing unless given, so it cannot overwrite a value parsed before
+    the subcommand.
+    """
+    unset = None if top_level else argparse.SUPPRESS
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=unset, help="master random seed")
+    common.add_argument("--config", default=unset, help="key=value config file")
+    common.add_argument(
+        "--force",
+        action="store_true",
+        default=False if top_level else argparse.SUPPRESS,
+        help="overwrite existing outputs",
+    )
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synthstab",
         description="Synthetic video generation, motion estimation, and stabilization.",
-        parents=[common],
+        parents=[_shared_options(top_level=True)],
     )
+    common = _shared_options(top_level=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from synthstab import cli
+from synthstab.generate import video_seed
 
 
 def _tiny_config(tmp_path):
@@ -48,3 +49,37 @@ def test_generate_into_non_empty_dir_needs_force(tmp_path):
 def test_missing_config_is_an_io_error(tmp_path):
     missing = str(tmp_path / "missing.cfg")
     assert cli.run(["generate", "--config", missing, "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+
+
+def _shared_at(position, shared, rest):
+    """``generate`` argv with the shared options before or after the subcommand."""
+    if position == "before":
+        return shared + ["generate"] + rest
+    return ["generate"] + shared + rest
+
+
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_seed_is_honoured_in_either_position(tmp_path, capsys, position):
+    out = tmp_path / "out"
+    argv = _shared_at(position, ["--seed", "3"], ["--config", _tiny_config(tmp_path), "--out", str(out)])
+    assert cli.run(argv) == cli.EXIT_OK
+    assert "seed: 3" in capsys.readouterr().out.splitlines()
+    manifest = next(out.rglob("manifest.txt")).read_text(encoding="utf-8")
+    assert f"seed={video_seed(3, 0)}" in manifest.splitlines()
+
+
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_missing_config_is_an_io_error_in_either_position(tmp_path, position):
+    missing = str(tmp_path / "missing.cfg")
+    argv = _shared_at(position, ["--config", missing], ["--out", str(tmp_path / "out")])
+    assert cli.run(argv) == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_force_is_honoured_in_either_position(tmp_path, position):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("x", encoding="utf-8")
+    argv = _shared_at(position, ["--force"], ["--config", _tiny_config(tmp_path), "--out", str(out)])
+    assert cli.run(argv) == cli.EXIT_OK
+    assert (out / "keep.txt").exists() and len(list(out.rglob("manifest.txt"))) == 1
