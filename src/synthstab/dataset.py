@@ -317,9 +317,5 @@ def list_video_dirs(root: str) -> list[str]:
     return out
 
 
-def read_dataset(root: str) -> list[VideoData]:
-    return [read_video_dir(d) for d in list_video_dirs(root)]
-
-
 def is_video_dir(path: str) -> bool:
     return os.path.isdir(path) and os.path.exists(os.path.join(path, "manifest.txt"))

@@ -77,13 +77,15 @@ def _parabolic_step(
 ) -> np.ndarray:
     """Shift ``d`` to the vertex of the parabola through (lo, best, hi).
 
-    Applied where ``mask`` holds, both neighbours are in-frame SADs and
-    the parabola opens upward; the step is clipped to half a pixel.
+    Applied where ``mask`` holds and both neighbours are in-frame SADs;
+    the step is clipped to half a pixel.  The parabola always opens
+    upward there: ``best`` is the first minimum, so ``lo`` lies strictly
+    above it and ``hi`` not below.
     """
     lo_f = lo.astype(np.float64)
     hi_f = hi.astype(np.float64)
     denom = lo_f - 2.0 * best + hi_f
-    step = mask & (lo < INVALID_SAD) & (hi < INVALID_SAD) & (denom > 0)
+    step = mask & (lo < INVALID_SAD) & (hi < INVALID_SAD)
     offset = np.divide(0.5 * (lo_f - hi_f), denom, out=np.zeros_like(d), where=step)
     return np.where(step, d + np.clip(offset, -0.5, 0.5), d)
 
@@ -201,9 +203,9 @@ def compute_flow(
             sy = np.minimum(np.arange(nby) * cby // nby, cby - 1)
             sx = np.minimum(np.arange(nbx) * cbx // nbx, cbx - 1)
             cell = np.ix_(sy, sx)
-            # np.round, like Python's round, breaks ties to even.
-            seed_du = np.where(valid[cell], np.round(2.0 * u[cell]), 0.0).astype(np.int64)
-            seed_dv = np.where(valid[cell], np.round(2.0 * v[cell]), 0.0).astype(np.int64)
+            # Coarse levels have no subpixel step, so u and v are integers.
+            seed_du = np.where(valid[cell], 2.0 * u[cell], 0.0).astype(np.int64)
+            seed_dv = np.where(valid[cell], 2.0 * v[cell], 0.0).astype(np.int64)
         else:
             seed_du = np.zeros((nby, nbx), dtype=np.int64)
             seed_dv = np.zeros((nby, nbx), dtype=np.int64)
