@@ -6,7 +6,7 @@ times each one at its call sites.
 ``bilinear_sample`` is the one bilinear interpolation body: it
 evaluates one floating-point expression tree per sample position, and
 ``affine_bilinear`` only builds those positions from a 2x3 matrix.  The
-SAD kernel works in integers.  So both are exact against their
+SAD kernel works in integers.  Both are therefore exact against their
 brute-force loop oracles, not merely close.  The convolution kernels
 accumulate with einsum, so they match loop oracles only to rounding
 error.
@@ -28,10 +28,10 @@ INVALID_SAD = np.int64(2) ** 62
 def bilinear_sample(tex, sx, sy):
     """Sample ``tex`` bilinearly at texture coordinates ``(sx, sy)``.
 
-    ``sx`` and ``sy`` are float64 arrays of one shape, any number of
-    dimensions.  Returns ``(out, inside)`` of that shape, where
-    ``inside`` marks positions within the texture; outside positions
-    are 0.
+    ``sx`` and ``sy`` are float64 arrays that broadcast to one shape,
+    of any number of dimensions.  Returns ``(out, inside)`` of that
+    shape, where ``inside`` marks positions within the texture;
+    outside positions are 0.
     """
     tex = np.ascontiguousarray(tex, dtype=np.float64)
     th, tw = tex.shape

@@ -153,21 +153,20 @@ def _refine_correspondences(
     v0 = dst[:, 1] - cy
     u = u0.copy()
     v = v0.copy()
-    alive = ~(det < 1e-8)
+    alive = det >= 1e-8
     active = np.flatnonzero(alive)
-    ys, xs = np.meshgrid(
-        np.arange(bs, dtype=np.float64), np.arange(bs, dtype=np.float64), indexing="ij"
-    )
-    # affine_bilinear's expression tree for [[1, 0, x0 + u], [0, 1, y0 + v]].
-    base_x = 1.0 * xs + 0.0 * ys
-    base_y = 0.0 * xs + 1.0 * ys
+    pos = span.astype(np.float64)
     for _ in range(iterations):
         if active.size == 0:
             break
-        sx = base_x + (x0[active] + u[active])[:, None, None]
-        sy = base_y + (y0[active] + v[active])[:, None, None]
-        patch, inside = bilinear_sample(tgt, sx, sy)
-        ok = inside.all(axis=(1, 2)) & ~(patch.min(axis=(1, 2)) < 4.0)
+        # The coordinates affine_bilinear computes, bit for bit, from
+        # [[1, 0, x0 + u], [0, 1, y0 + v]]: rows (n, 1, bs), columns (n, bs, 1).
+        sx = pos + (x0[active] + u[active])[:, None, None]
+        sy = pos[:, None] + (y0[active] + v[active])[:, None, None]
+        patch, _ = bilinear_sample(tgt, sx, sy)
+        # Samples outside the frame read 0, so this also drops patches
+        # that leave the frame.
+        ok = patch.min(axis=(1, 2)) >= 4.0
         alive[active[~ok]] = False
         active = active[ok]
         err = patch[ok] - tpl[active]
@@ -179,7 +178,7 @@ def _refine_correspondences(
         u[active] += du
         v[active] += dv
         active = active[~((np.abs(du) < 1e-3) & (np.abs(dv) < 1e-3))]
-    keep = alive & ~(np.abs(u - u0) > 1.5) & ~(np.abs(v - v0) > 1.5)
+    keep = alive & (np.abs(u - u0) <= 1.5) & (np.abs(v - v0) <= 1.5)
     n_kept = int(keep.sum())
     if n_kept < 4:
         raise DegenerateError(f"only {n_kept} cells survive photometric refinement")

@@ -141,7 +141,9 @@ INTERIOR = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
 
 def _refine_both(frame_a, frame_b, src, dst):
     want = _outcome(refine_reference, frame_a, frame_b, src, dst, BS)
-    got = _outcome(metrics._refine_correspondences, frame_a, frame_b, src, dst, BS)
+    # A dropped cell must not reach the update step: no 0/0 steps.
+    with np.errstate(divide="raise", invalid="raise"):
+        got = _outcome(metrics._refine_correspondences, frame_a, frame_b, src, dst, BS)
     _assert_same(got, want)
     return got
 
@@ -238,6 +240,9 @@ def test_bilinear_sample_matches_affine_bilinear_bitwise():
         assert np.array_equal(inside[k], ref_inside)
         assert np.array_equal(out[k], ref_out)
     assert not inside.all() and inside.any()
+    # A translation's rows and columns may come as broadcasting vectors.
+    out_b, inside_b = bilinear_sample(tex, xs[:1] + 4.25, ys[:, :1] - 0.5)
+    assert np.array_equal(out_b, out[1]) and np.array_equal(inside_b, inside[1])
 
 
 @pytest.mark.parametrize("layers, style", [(1, "mixed"), (2, "random")])
