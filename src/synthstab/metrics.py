@@ -125,6 +125,7 @@ def _refine_correspondences(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Photometric per-cell alignment around the block-match result.
 
+    ``src`` holds (n, 2) block centres and ``dst`` their matches.
     Gradient descent on the sampled patch difference removes the
     integer-grid and window-clamping bias of SAD matching.  Cells whose
     template is flat, whose refined patch leaves the frame or lands on
@@ -135,8 +136,6 @@ def _refine_correspondences(
     """
     tpl_frame = np.asarray(frame_a, dtype=np.float64)
     tgt = np.asarray(frame_b, dtype=np.float64)
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
     bs = block_size
     half = (bs - 1) / 2.0
     cx, cy = src[:, 0], src[:, 1]
@@ -160,7 +159,8 @@ def _refine_correspondences(
         if active.size == 0:
             break
         # The coordinates affine_bilinear computes, bit for bit, from
-        # [[1, 0, x0 + u], [0, 1, y0 + v]]: rows (n, 1, bs), columns (n, bs, 1).
+        # [[1, 0, x0 + u], [0, 1, y0 + v]]; sx is (n, 1, bs) and sy is
+        # (n, bs, 1), which broadcast to the (n, bs, bs) patch stack.
         sx = pos + (x0[active] + u[active])[:, None, None]
         sy = pos[:, None] + (y0[active] + v[active])[:, None, None]
         patch, _ = bilinear_sample(tgt, sx, sy)
