@@ -64,3 +64,14 @@ def test_summarize_rejects_runs_from_different_commits():
     ]
     with pytest.raises(ValueError):
         bench_record.summarize(runs)
+
+
+def test_commands_cover_every_benchmark_workload_at_its_run_length():
+    bench = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    cmds = bench_record.commands(bench, [11, 12])
+    names = [w["name"] for w in bench["workloads"]]
+    assert [(c[c.index("--workload") + 1], c[c.index("--seed") + 1]) for c in cmds] == [
+        (n, s) for n in names for s in ("11", "12")
+    ]
+    assert all(c[c.index("--seconds") + 1] == str(bench["run_seconds"]) for c in cmds)
+    assert all(c[-2:] == ["--trace", "0"] for c in cmds)

@@ -3,10 +3,10 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --seeds 11 12 13
-    python3 tools/bench_record.py --workloads evaluate_oracle --seeds 11 12 13 --seconds 35
 
 Runs ``perfbench/run.py --trace 0`` once per workload and seed, one
-run at a time, and reads the ``record:`` line and the final JSON line
+run at a time, for every workload of ``BENCHMARK.json`` at its
+``run_seconds``, and reads the ``record:`` line and the final JSON line
 of each.  The file written at the root of the checkout holds, per
 workload, the median of every end-to-end metric over the seeds, the
 failures against attempts, each run's values, and the run record
@@ -25,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
-WORKLOADS = ("stabilize_bm", "evaluate_oracle", "train_small")
+BENCHMARK = ROOT / "BENCHMARK.json"
 # Fields of the run record that differ from run to run.
 PER_RUN = ("workload", "seed", "trace")
 
@@ -67,25 +67,31 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
     return {"record": shared, "workloads": workloads}
 
 
+def commands(bench: dict, seeds: list[int]) -> list[list[str]]:
+    """One ``run.py`` command per workload of ``bench`` and seed, at its run length."""
+    return [
+        [sys.executable, str(RUN), "--workload", w["name"], "--seed", str(seed),
+         "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+        for w in bench["workloads"]
+        for seed in seeds
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=35.0)
     args = parser.parse_args(argv)
 
+    bench = json.loads(BENCHMARK.read_text())
     runs = []
-    for workload in args.workloads:
-        for seed in args.seeds:
-            cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
-            print("running: " + " ".join(cmd[1:]), flush=True)
-            proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-            if proc.returncode != 0:
-                print(proc.stderr, file=sys.stderr)
-                return proc.returncode
-            runs.append(parse_run(proc.stdout))
-    summary = {"seconds": args.seconds, **summarize(runs)}
+    for cmd in commands(bench, args.seeds):
+        print("running: " + " ".join(cmd[1:]), flush=True)
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(proc.stderr, file=sys.stderr)
+            return proc.returncode
+        runs.append(parse_run(proc.stdout))
+    summary = {"seconds": bench["run_seconds"], **summarize(runs)}
     path = ROOT / f"BENCH_{summary['record']['commit'][:7]}.json"
     path.write_text(json.dumps(summary, indent=1) + "\n")
     for workload, entry in summary["workloads"].items():
