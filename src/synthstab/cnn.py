@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailureError, ShapeMismatchError
-from .kernels import conv2d_forward, conv2d_backward
+from .kernels import conv2d_backward, conv2d_forward, conv2d_weight_grads
 
 WEIGHTS_MAGIC = b"STBW1"
 
@@ -131,16 +131,19 @@ class ConvRegressor:
         if cache["mask"] is not None:
             d = d * cache["mask"]
         n, c, ho, wo = cache["pool_shape"]
-        d = np.broadcast_to(
-            d[:, :, None, None] / cache["pool_hw"], (n, c, ho, wo)
-        ).copy()
+        d = np.broadcast_to(d[:, :, None, None] / cache["pool_hw"], (n, c, ho, wo))
         for i in range(len(self.shape.conv_widths), 0, -1):
             xp, pos = cache["conv"][i - 1]
+            w = self.params[f"conv{i}_w"]
             d = d * pos
-            dxp, dw, db = conv2d_backward(xp, self.params[f"conv{i}_w"], d, 2)
+            if i == 1:
+                # The input gradient of the first layer is never used.
+                dw, db = conv2d_weight_grads(xp, d, w.shape[2], w.shape[3], 2)
+            else:
+                dxp, dw, db = conv2d_backward(xp, w, d, 2)
+                d = dxp[:, :, 1:-1, 1:-1]
             grads[f"conv{i}_w"] = dw
             grads[f"conv{i}_b"] = db
-            d = dxp[:, :, 1:-1, 1:-1]
         return grads
 
     def loss_and_grads(

@@ -77,17 +77,17 @@ def _parabolic_step(
 ) -> np.ndarray:
     """Shift ``d`` to the vertex of the parabola through (lo, best, hi).
 
-    Applied where ``mask`` holds and both neighbours are in-frame SADs;
-    the step is clipped to half a pixel.  The parabola always opens
-    upward there: ``best`` is the first minimum, so ``lo`` lies strictly
-    above it and ``hi`` not below.
+    Applied where ``mask`` holds; the step is clipped to half a pixel.
+    The caller masks out window-edge minima and matches whose block
+    touches the frame border, so both neighbours are in-frame SADs
+    there.  The parabola always opens upward: ``best`` is the first
+    minimum, so ``lo`` lies strictly above it and ``hi`` not below.
     """
     lo_f = lo.astype(np.float64)
     hi_f = hi.astype(np.float64)
     denom = lo_f - 2.0 * best + hi_f
-    step = mask & (lo < INVALID_SAD) & (hi < INVALID_SAD)
-    offset = np.divide(0.5 * (lo_f - hi_f), denom, out=np.zeros_like(d), where=step)
-    return np.where(step, d + np.clip(offset, -0.5, 0.5), d)
+    offset = np.divide(0.5 * (lo_f - hi_f), denom, out=np.zeros_like(d), where=mask)
+    return np.where(mask, d + np.clip(offset, -0.5, 0.5), d)
 
 
 def _match_level(

@@ -7,9 +7,14 @@ times each one at its call sites.
 evaluates one floating-point expression tree per sample position, and
 ``affine_bilinear`` only builds those positions from a 2x3 matrix.  The
 SAD kernel works in integers.  Both are therefore exact against their
-brute-force loop oracles, not merely close.  The convolution kernels
-accumulate with einsum, so they match loop oracles only to rounding
-error.
+brute-force loop oracles, not merely close.
+
+The convolution kernels match loop oracles only to rounding error.  The
+forward pass is one ``einsum``.  The backward pass lowers each gradient
+to one matrix product over gathered columns and passes BLAS the same
+operands, in the same memory layout, as ``einsum(..., optimize=True)``
+does for that contraction, so its gradients are bit-identical to the
+einsum form, which ``tests/test_cnn.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -144,26 +149,52 @@ def conv2d_forward(xp, w, b, stride):
     return y + b[None, :, None, None]
 
 
+def conv2d_weight_grads(xp, dy, kh, kw, stride):
+    """Gradients of :func:`conv2d_forward` w.r.t. weights and bias.
+
+    ``cols[n, ho, wo, c, ky, kx]`` holds the input under each kernel tap,
+    gathered per sample by one ``take``, so ``dw`` is one
+    ``(f, n*ho*wo) @ (n*ho*wo, c*kh*kw)`` product.
+    """
+    xp = np.ascontiguousarray(xp, dtype=np.float64)
+    dy = np.ascontiguousarray(dy, dtype=np.float64)
+    stride = int(stride)
+    n, c, hp, wp = xp.shape
+    f, ho, wo = dy.shape[1:]
+    db = dy.sum(axis=(0, 2, 3))
+    # Offset within one sample of xp of each (ho, wo, c, ky, kx) entry.
+    tap = (np.arange(c)[:, None, None] * hp + np.arange(kh)[:, None]) * wp + np.arange(kw)
+    corner = (stride * np.arange(ho))[:, None] * wp + stride * np.arange(wo)
+    idx = (corner[:, :, None, None, None] + tap).ravel()
+    cols = np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * ho * wo, c * kh * kw)
+    dw = dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo) @ cols
+    return dw.reshape(f, c, kh, kw), db
+
+
 def conv2d_backward(xp, w, dy, stride):
-    """Gradients of :func:`conv2d_forward` w.r.t. input, weights, bias."""
+    """Gradients of :func:`conv2d_forward` w.r.t. input, weights, bias.
+
+    ``dcols[n, ho, wo, c, ky, kx]`` is one ``(n*ho*wo, f) @ (f, c*kh*kw)``
+    product; each tap's slice is added into an ``(n, Hp, Wp, c)``
+    accumulator, returned as an ``(n, c, Hp, Wp)`` view.
+    """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     dy = np.ascontiguousarray(dy, dtype=np.float64)
     stride = int(stride)
-    kh, kw = w.shape[2], w.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    db = dy.sum(axis=(0, 2, 3))
-    dw = np.einsum("nchwij,nfhw->fcij", win, dy, optimize=True)
-    dcols = np.einsum("fcij,nfhw->nchwij", w, dy, optimize=True)
-    dxp = np.zeros_like(xp)
-    ho, wo = dy.shape[2], dy.shape[3]
+    f, c, kh, kw = w.shape
+    n, _, hp, wp = xp.shape
+    ho, wo = dy.shape[2:]
+    dw, db = conv2d_weight_grads(xp, dy, kh, kw, stride)
+    dy_t = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    dcols = (dy_t @ w.reshape(f, c * kh * kw)).reshape(n, ho, wo, c, kh, kw)
+    dxp = np.zeros((n, hp, wp, c))
     for ky in range(kh):
         for kx in range(kw):
-            dxp[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += dcols[
-                :, :, :, :, ky, kx
+            dxp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += dcols[
+                ..., ky, kx
             ]
-    return dxp, dw, db
+    return dxp.transpose(0, 3, 1, 2), dw, db
 
 
 def backend_name() -> str:

@@ -182,20 +182,18 @@ class SmoothingResult:
     """Output of :func:`smooth_trajectory`."""
 
     smoothed: Trajectory
-    adjusted: list[AffineParams]
     corrections: list[AffineParams]
 
 
 def smooth_trajectory(
     traj: Trajectory, window: int = 51, polyorder: int = 1, clamp: bool = True
 ) -> SmoothingResult:
-    """Smooth each trajectory series and derive adjusted parameters.
+    """Smooth each trajectory series and derive per-frame corrections.
 
-    Per series: average the extrema envelopes, Savitzky-Golay filter
-    the average, and subtract the raw-minus-smoothed difference from
-    the per-pair parameters.  ``corrections[i]`` is the similarity
-    taking the raw pose at pair ``i`` to the smoothed pose (the
-    per-frame warp the stabilizer applies).
+    Per series: average the extrema envelopes and Savitzky-Golay filter
+    the average.  ``corrections[i]`` is the similarity taking the raw
+    pose at pair ``i`` to the smoothed pose (the per-frame warp the
+    stabilizer applies).
     """
     series = {
         "tx": traj.tx,
@@ -218,33 +216,16 @@ def smooth_trajectory(
         smoothed_series["theta"],
         smoothed_series["log_s"],
     )
-    raw_params = first_differences(traj)
-    adjusted = []
-    corrections = []
-    for i, p in enumerate(raw_params):
-        delta = (
-            traj.tx[i] - smoothed.tx[i],
-            traj.ty[i] - smoothed.ty[i],
-            traj.theta[i] - smoothed.theta[i],
-            traj.log_s[i] - smoothed.log_s[i],
+    corrections = [
+        AffineParams(
+            -(traj.tx[i] - smoothed.tx[i]),
+            -(traj.ty[i] - smoothed.ty[i]),
+            wrap_angle(-(traj.theta[i] - smoothed.theta[i])),
+            math.exp(-(traj.log_s[i] - smoothed.log_s[i])),
         )
-        adjusted.append(
-            AffineParams(
-                p.tx - delta[0],
-                p.ty - delta[1],
-                wrap_angle(p.theta - delta[2]),
-                math.exp(math.log(p.s) - delta[3]),
-            )
-        )
-        corrections.append(
-            AffineParams(
-                -delta[0],
-                -delta[1],
-                wrap_angle(-delta[2]),
-                math.exp(-delta[3]),
-            )
-        )
-    return SmoothingResult(smoothed, adjusted, corrections)
+        for i in range(len(traj))
+    ]
+    return SmoothingResult(smoothed, corrections)
 
 
 def write_trajectory_csv(path, raw: Trajectory, smoothed: Trajectory) -> None:

@@ -240,8 +240,6 @@ def test_smooth_linear_trajectory_identity_corrections():
         assert abs(c.ty) < 0.1
         assert abs(c.theta) < 1e-3
         assert abs(math.log(c.s)) < 1e-3
-    for p in result.adjusted:
-        assert p.tx == pytest.approx(0.7, abs=0.1)
 
 
 def test_smooth_reduces_jitter_variance():
@@ -267,22 +265,16 @@ def test_smooth_short_series_untouched():
         assert c.tx == 0.0 and c.ty == 0.0 and c.theta == 0.0 and c.s == 1.0
 
 
-def test_smooth_adjusted_subtracts_trajectory_difference():
-    # Adjusted parameters are the per-pair values minus the cumulative
-    # raw-minus-smoothed difference at the same index.
+def test_smooth_corrections_negate_trajectory_difference():
+    # Each correction undoes the cumulative raw-minus-smoothed
+    # difference at the same index.
     rng = np.random.default_rng(71)
     params = random_param_list(rng, 80)
     traj = accumulate(params)
     result = smooth_trajectory(traj, window=21, polyorder=1)
-    for i, (p, adj, corr) in enumerate(
-        zip(params, result.adjusted, result.corrections)
-    ):
+    for i, corr in enumerate(result.corrections):
         delta_tx = traj.tx[i] - result.smoothed.tx[i]
         delta_th = traj.theta[i] - result.smoothed.theta[i]
-        delta_ls = traj.log_s[i] - result.smoothed.log_s[i]
-        assert adj.tx == pytest.approx(p.tx - delta_tx, abs=1e-12)
-        assert adj.theta == pytest.approx(p.theta - delta_th, abs=1e-12)
-        assert math.log(adj.s) == pytest.approx(math.log(p.s) - delta_ls, abs=1e-12)
         assert corr.tx == pytest.approx(-delta_tx, abs=1e-12)
         assert corr.theta == pytest.approx(-delta_th, abs=1e-12)
 
