@@ -57,18 +57,6 @@ def accumulate(params: list[AffineParams]) -> Trajectory:
     return Trajectory(tx, ty, theta, log_s)
 
 
-def first_differences(traj: Trajectory) -> list[AffineParams]:
-    """Per-pair parameters whose accumulation reproduces ``traj``."""
-    tx = np.diff(traj.tx, prepend=0.0)
-    ty = np.diff(traj.ty, prepend=0.0)
-    theta = np.diff(traj.theta, prepend=0.0)
-    log_s = np.diff(traj.log_s, prepend=0.0)
-    return [
-        AffineParams(float(a), float(b), wrap_angle(float(c)), float(math.exp(d)))
-        for a, b, c, d in zip(tx, ty, theta, log_s)
-    ]
-
-
 def find_extrema(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of local maxima and minima, endpoints always included.
 
@@ -216,6 +204,8 @@ def smooth_trajectory(
         smoothed_series["theta"],
         smoothed_series["log_s"],
     )
+    # Negated raw-minus-smoothed, not smoothed-minus-raw: the two differ
+    # in the sign of zero.
     corrections = [
         AffineParams(
             -(traj.tx[i] - smoothed.tx[i]),

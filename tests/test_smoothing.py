@@ -14,7 +14,6 @@ from synthstab.smoothing import (
     accumulate,
     envelope,
     find_extrema,
-    first_differences,
     savitzky_golay,
     smooth_trajectory,
     write_trajectory_csv,
@@ -207,12 +206,12 @@ def test_accumulate_cumsum_semantics():
 def test_accumulate_round_trip():
     rng = np.random.default_rng(61)
     params = random_param_list(rng, 50)
-    back = first_differences(accumulate(params))
-    for p, q in zip(params, back):
-        assert q.tx == pytest.approx(p.tx, abs=1e-12)
-        assert q.ty == pytest.approx(p.ty, abs=1e-12)
-        assert q.theta == pytest.approx(p.theta, abs=1e-12)
-        assert q.s == pytest.approx(p.s, rel=1e-12)
+    traj = accumulate(params)
+    for name, series in (("tx", traj.tx), ("ty", traj.ty), ("theta", traj.theta)):
+        back = np.diff(series, prepend=0.0)
+        np.testing.assert_allclose(back, [getattr(p, name) for p in params], rtol=0, atol=1e-12)
+    back_s = np.exp(np.diff(traj.log_s, prepend=0.0))
+    np.testing.assert_allclose(back_s, [p.s for p in params], rtol=1e-12, atol=0)
 
 
 def test_accumulate_empty_rejected():
