@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, NonSimilarityError
+from .errors import DegenerateConfigurationError
 
 # Tolerance below which a point cloud is treated as a single point.
 _SPREAD_EPS = 1e-12
-# Allowed deviation from perfect rotation-scale structure.
-_SIMILARITY_TOL = 1e-6
 
 
 def wrap_angle(theta: float) -> float:
@@ -69,49 +67,11 @@ def params_to_matrix(params: AffineParams) -> np.ndarray:
     )
 
 
-def matrix_to_params(matrix: np.ndarray) -> AffineParams:
-    """Recover parameters from a 2x3 similarity matrix.
-
-    Raises :class:`NonSimilarityError` when the 2x2 block does not have
-    rotation-scale structure (columns orthogonal with equal norm,
-    positive determinant) within 1e-6 relative tolerance.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape != (2, 3):
-        raise NonSimilarityError(f"expected a 2x3 matrix, got shape {m.shape}")
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    scale_sq = a * a + c * c
-    norm = math.sqrt(scale_sq)
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise NonSimilarityError("zero or non-finite scale")
-    # Structure residuals, relative to the overall scale.
-    err = max(abs(a - d), abs(b + c)) / norm
-    if err > _SIMILARITY_TOL:
-        raise NonSimilarityError(
-            f"matrix deviates from rotation-scale structure by {err:.3e}"
-        )
-    theta = math.atan2(c, a)
-    if theta <= -math.pi:
-        theta = math.pi
-    return AffineParams(float(m[0, 2]), float(m[1, 2]), theta, norm)
-
-
 def apply_transform(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply a 2x3 transform to points of shape (n, 2)."""
     pts = np.asarray(points, dtype=np.float64)
     m = np.asarray(matrix, dtype=np.float64)
     return pts @ m[:, :2].T + m[:, 2]
-
-
-def compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Return the 2x3 matrix applying ``first`` then ``second``."""
-    a = np.asarray(second, dtype=np.float64)
-    b = np.asarray(first, dtype=np.float64)
-    out = np.empty((2, 3), dtype=np.float64)
-    out[:, :2] = a[:, :2] @ b[:, :2]
-    out[:, 2] = a[:, :2] @ b[:, 2] + a[:, 2]
-    return out
 
 
 def invert(matrix: np.ndarray) -> np.ndarray:

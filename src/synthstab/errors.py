@@ -5,10 +5,6 @@ class SynthStabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonSimilarityError(SynthStabError):
-    """Matrix is not a rotation-scale-translation composition."""
-
-
 class DegenerateConfigurationError(SynthStabError):
     """Point configuration does not determine a similarity."""
 

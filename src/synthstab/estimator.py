@@ -28,6 +28,7 @@ from .errors import (
 from .flow import FlowField, compute_flow, flow_to_dense
 from .generate import PairSample
 from .kernels import affine_bilinear
+from .parallel import pmap
 from .synthworld import MarkRecord, marks_by_frame, pair_correspondences
 
 ROBUST_ROUNDS = 3
@@ -394,12 +395,14 @@ def estimate_sequence(
         )
         runner = lambda i: learned.estimate(frames[i], frames[i + 1])
 
-    estimates: list[AffineParams] = []
-    warnings: list[str] = []
-    for i in range(len(frames) - 1):
+    def attempt(i: int) -> tuple[AffineParams, str | None]:
         try:
-            estimates.append(runner(i))
+            return runner(i), None
         except SynthStabError as exc:
-            estimates.append(AffineParams.identity())
-            warnings.append(f"pair {i}: {exc}; substituted identity")
-    return estimates, warnings
+            return AffineParams.identity(), f"pair {i}: {exc}; substituted identity"
+
+    pairs = range(len(frames) - 1)
+    # Only block matching gains from a thread per pair: the oracle is
+    # too cheap, and the CNN forward already keeps BLAS on every CPU.
+    results = pmap(attempt, pairs) if backend == "blockmatch" else [attempt(i) for i in pairs]
+    return [e for e, _ in results], [w for _, w in results if w is not None]

@@ -57,6 +57,8 @@ class GenerateConfig:
             raise InvalidSpecError("n_frames must be at least 2")
         if self.fps < 1:
             raise InvalidSpecError("fps must be positive")
+        if self.n_layers < 1:
+            raise InvalidSpecError("n_layers must be at least 1")
 
 
 def video_seed(master_seed: int, index: int) -> int:

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .flow import QUALITY_MAX_SAD_PER_PIXEL, compute_flow
 from .kernels import affine_bilinear, bilinear_sample
+from .parallel import pmap
 from .stabilizer import CropWindow
 
 MIN_SERIES_LENGTH = 8
@@ -287,20 +288,18 @@ def pair_motion_series(
     """
     if len(frames) < 2:
         raise SeriesTooShortError("need at least two frames for a motion series")
-    tx = np.zeros(len(frames) - 1)
-    ty = np.zeros(len(frames) - 1)
-    theta = np.zeros(len(frames) - 1)
-    warnings: list[str] = []
-    for i in range(len(frames) - 1):
+
+    def pair_motion(i: int) -> tuple[tuple[float, float, float], str | None]:
         try:
             src, dst = _flow_correspondences(frames[i], frames[i + 1], block_size)
             h = estimate_homography(src, dst)
-            tx[i] = h[0, 2]
-            ty[i] = h[1, 2]
-            theta[i] = math.atan2(h[1, 0], h[0, 0])
         except (DegenerateError, FrameMismatchError) as exc:
-            warnings.append(f"pair {i}: untrackable ({exc}); motion set to zero")
-    return tx, ty, theta, warnings
+            return (0.0, 0.0, 0.0), f"pair {i}: untrackable ({exc}); motion set to zero"
+        return (h[0, 2], h[1, 2], math.atan2(h[1, 0], h[0, 0])), None
+
+    results = pmap(pair_motion, range(len(frames) - 1))
+    tx, ty, theta = np.array([m for m, _ in results], dtype=np.float64).T.copy()
+    return tx, ty, theta, [w for _, w in results if w is not None]
 
 
 def video_stability(
@@ -350,12 +349,16 @@ def distortion_score(
         raise FrameMismatchError(
             f"{len(original)} original vs {len(stabilized)} stabilized frames"
         )
-    worst = None
-    warnings: list[str] = []
-    for i, (orig, stab) in enumerate(zip(original, stabilized)):
+
+    def frame_ratio(i: int) -> tuple[float | None, str | None]:
+        stab = stabilized[i]
         try:
             h1, w1 = stab.shape
-            cropped = _center_crop(orig, h1, w1)
+            cropped = _center_crop(original[i], h1, w1)
+            # A frame the stabilizer left unwarped (frame 0, always) is
+            # its own crop: its map is the identity.
+            if np.array_equal(cropped, stab):
+                return 1.0, None
             # The stabilized frame is a resampled copy, so even perfect
             # matches have a large SAD against the crisp original; widen
             # the texture gate.  Border matches stay distrusted: a block
@@ -375,18 +378,18 @@ def distortion_score(
                 raise DegenerateError(
                     f"no coherent map (median residual {med_resid:.2f} px)"
                 )
-            a = hom[:2, :2]
-            sigma = np.linalg.svd(a, compute_uv=False)
-            ratio = float(sigma[1] / max(sigma[0], 1e-300))
+            sigma = np.linalg.svd(hom[:2, :2], compute_uv=False)
+            return float(sigma[1] / max(sigma[0], 1e-300)), None
         except (DegenerateError, FrameMismatchError) as exc:
-            warnings.append(f"frame {i}: distortion skipped ({exc})")
-            continue
-        worst = ratio if worst is None else min(worst, ratio)
-    if worst is None:
+            return None, f"frame {i}: distortion skipped ({exc})"
+
+    results = pmap(frame_ratio, range(len(original)))
+    ratios = [r for r, _ in results if r is not None]
+    if not ratios:
         raise AllFramesFailedError(
             "no frame pair supported a distortion estimate"
         )
-    return worst, warnings
+    return min(ratios), [w for _, w in results if w is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,38 @@
+"""Order-preserving map over the usable CPUs.
+
+Flow, fitting and sampling spend their time in numpy calls that
+release the GIL, so independent frame pairs gain from plain threads.
+A pool lives for one call: starting it costs about half a millisecond,
+against 100 ms or more of flow work in every call that uses it.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; the machine's count where unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """``[fn(x) for x in items]`` on up to one thread per usable CPU.
+
+    Results keep the order of ``items``; the first item (in order)
+    whose call raised re-raises its exception here.
+    """
+    items = list(items)
+    workers = min(len(items), usable_cpus())
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -606,8 +606,3 @@ def pair_correspondences(
     dst = np.array([b[uid] for uid in shared], dtype=np.float64)
     return src, dst
 
-
-def ground_truth_pairs(records: list[MarkRecord], n_frames: int) -> list[AffineParams]:
-    """Fit the per-pair similarity from shared marks for every frame pair."""
-    table = marks_by_frame(records)
-    return [fit_similarity(*pair_correspondences(table, i)) for i in range(n_frames - 1)]

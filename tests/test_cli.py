@@ -46,6 +46,14 @@ def test_generate_into_non_empty_dir_needs_force(tmp_path):
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("n_layers", ["0", "-1"])
+def test_generate_rejects_fewer_than_one_layer(tmp_path, n_layers):
+    out = tmp_path / "out"
+    args = ["generate", "--config", _tiny_config(tmp_path), "--n-layers", n_layers]
+    assert cli.run(args + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_missing_config_is_an_io_error(tmp_path):
     missing = str(tmp_path / "missing.cfg")
     assert cli.run(["generate", "--config", missing, "--out", str(tmp_path / "out")]) == cli.EXIT_IO

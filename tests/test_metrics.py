@@ -9,6 +9,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from synthstab import estimator, metrics, stabilizer
+from synthstab.affine import AffineParams
 from synthstab.errors import DegenerateError
 from synthstab.generate import GenerateConfig, make_video
 from synthstab.kernels import affine_bilinear, bilinear_sample
@@ -254,3 +255,39 @@ def test_cropping_ratio_equals_stabilizer_valid_fractions(layers, style, crop_ra
     # The full-frame window keeps warp fill, so its fractions fall below 1.
     assert (min(res.valid_fractions) < 1.0) == (crop_ratio == 1.0)
     assert abs(metrics.cropping_ratio(w, h, res.crop, res.applied) - expected) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Distortion of frames the stabilizer left unwarped
+# ---------------------------------------------------------------------------
+
+
+def _count_flow_calls(monkeypatch):
+    calls = []
+    real = metrics.compute_flow
+
+    def counted(frame_a, frame_b, **kwargs):
+        calls.append((frame_a, frame_b))
+        return real(frame_a, frame_b, **kwargs)
+
+    monkeypatch.setattr(metrics, "compute_flow", counted)
+    return calls
+
+
+def test_identity_stabilized_clip_scores_one_without_flow(monkeypatch):
+    clip, _ = _oracle_stabilized(2, "random")
+    identity = [AffineParams.identity()] * (len(clip.frames) - 1)
+    res = stabilizer.stabilize_video(clip.frames, identity)
+    calls = _count_flow_calls(monkeypatch)
+    assert metrics.distortion_score(clip.frames, res.frames) == (1.0, [])
+    assert calls == []
+
+
+def test_unwarped_first_frame_runs_no_flow(monkeypatch):
+    clip, res = _oracle_stabilized(1, "mixed")
+    first = res.frames[0]
+    assert np.array_equal(metrics._center_crop(clip.frames[0], *first.shape), first)
+    calls = _count_flow_calls(monkeypatch)
+    metrics.distortion_score(clip.frames, res.frames)
+    assert len(calls) == len(clip.frames) - 1
+    assert not any(b is first for _, b in calls)

@@ -9,6 +9,7 @@ import pytest
 
 from synthstab.affine import apply_transform, params_to_matrix
 from synthstab.errors import InsufficientMarksError, InvalidSpecError
+from synthstab.estimator import OracleEstimator
 from synthstab.synthworld import (
     TEXTURE_STYLES,
     CameraPose,
@@ -18,7 +19,6 @@ from synthstab.synthworld import (
     build_scene,
     emit_mark_points,
     generate_camera_path,
-    ground_truth_pairs,
     marks_by_frame,
     pair_correspondences,
     pose_after_delta,
@@ -291,9 +291,9 @@ def test_ground_truth_matches_analytic_deltas():
     # pose delta almost exactly.
     n_frames = 40
     _, shaky, records = make_marks(n_frames=n_frames)
-    gt = ground_truth_pairs(records, n_frames)
-    assert len(gt) == n_frames - 1
-    for i, p in enumerate(gt):
+    oracle = OracleEstimator(records)
+    for i in range(n_frames - 1):
+        p = oracle.estimate(i)
         analytic = pose_delta_params(shaky[i], shaky[i + 1], 128, 128)
         assert p.tx == pytest.approx(analytic.tx, abs=1e-6)
         assert p.ty == pytest.approx(analytic.ty, abs=1e-6)
