@@ -6,7 +6,7 @@ from .estimator import TrainConfig, estimate_sequence, train
 from .generate import GenerateConfig, generate_dataset, sample_random_pairs
 from .metrics import MetricsConfig, MetricsReport, evaluate
 from .smoothing import Trajectory, smooth_trajectory
-from .stabilizer import CropWindow, StabilizationResult, stabilize_video, warp_frame
+from .stabilizer import CropWindow, StabilizationResult, stabilize_video
 from .synthworld import CameraPose, NoiseProfile, SceneSpec, SmoothPathSpec
 
 __version__ = "0.1.0"
@@ -33,6 +33,5 @@ __all__ = [
     "smooth_trajectory",
     "stabilize_video",
     "train",
-    "warp_frame",
     "__version__",
 ]

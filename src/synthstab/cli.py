@@ -3,13 +3,14 @@
 Subcommands: ``generate`` (synthetic shaky videos), ``train`` (the two
 learned regressors), ``stabilize`` (one video directory), ``evaluate``
 (one stabilized video or a whole dataset).  Option precedence is
-command line, then config file, then built-in defaults.  Exit codes:
+command line, then config file, then the library's defaults.  Exit codes:
 0 success, 2 validation, 3 training, 4 file I/O, 5 evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -28,10 +29,17 @@ from .errors import (
     SynthStabError,
 )
 from .estimator import LearnedEstimator, TrainConfig, estimate_sequence, save_weights, train
-from .generate import GenerateConfig, generate_dataset, sample_random_pairs
+from .generate import (
+    MAX_ROTATION,
+    MAX_SCALE_DELTA,
+    MAX_TRANSLATION,
+    GenerateConfig,
+    generate_dataset,
+    sample_random_pairs,
+)
 from .metrics import MetricsConfig, MetricsReport, batch_summary_rows, evaluate, write_report
-from .smoothing import write_trajectory_csv
-from .stabilizer import CropWindow, StabilizationResult, stabilize_video
+from .smoothing import SMOOTHING_POLYORDER, SMOOTHING_WINDOW, write_trajectory_csv
+from .stabilizer import CROP_RATIO, CropWindow, StabilizationResult, stabilize_video
 from .synthworld import TEXTURE_STYLES
 
 EXIT_OK = 0
@@ -39,6 +47,14 @@ EXIT_VALIDATION = 2
 EXIT_TRAINING = 3
 EXIT_IO = 4
 EXIT_EVALUATION = 5
+
+# Failures of one evaluation: exit 5, or a NaN row in a batch.
+EVALUATION_ERRORS = (
+    AllFramesFailedError,
+    SeriesTooShortError,
+    DegenerateError,
+    FrameMismatchError,
+)
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -97,6 +113,19 @@ class Options:
                 ) from exc
         return default
 
+    def fill(self, defaults, **keys):
+        """``defaults`` with every field an option sets replaced.
+
+        Each field is read from the option of the same name, or of the
+        name ``keys`` gives it; a field keyed to ``None`` is left alone.
+        """
+        values = {}
+        for f in dataclasses.fields(defaults):
+            name = keys.get(f.name, f.name)
+            if name is not None:
+                values[f.name] = self.get(name, getattr(defaults, f.name))
+        return dataclasses.replace(defaults, **values)
+
 
 def _check_output_dir(path: str, force: bool) -> None:
     if os.path.isdir(path) and os.listdir(path) and not force:
@@ -120,23 +149,9 @@ def _check_output_file(path: str, force: bool) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = Options(args, config)
-    seed = opts.get("seed", 0)
-    print(f"seed: {seed}")
+    cfg = Options(args, config).fill(GenerateConfig(), texture_style="texture")
+    print(f"seed: {cfg.seed}")
     out = args.out
-    cfg = GenerateConfig(
-        n_videos=opts.get("n_videos", 5),
-        n_frames=opts.get("n_frames", 200),
-        width=opts.get("width", 128),
-        height=opts.get("height", 128),
-        fps=opts.get("fps", 24),
-        seed=seed,
-        n_layers=opts.get("n_layers", 1),
-        texture_style=opts.get("texture", "mixed"),
-        mark_points=opts.get("mark_points", 16),
-        mark_beta_frames=opts.get("mark_beta_frames", 24),
-        mark_period=opts.get("mark_period", 12),
-    )
     _check_output_dir(out, args.force)
     manifest = generate_dataset(out, cfg)
     for video_id in manifest.video_ids:
@@ -146,34 +161,19 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 def cmd_train(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
-    seed = opts.get("seed", 0)
-    print(f"seed: {seed}")
     use_flow = not opts.get("no_flow_channel", False, cast=bool)
-    cfg = TrainConfig(
-        learning_rate=opts.get("learning_rate", 1e-4),
-        adam_beta1=opts.get("adam_beta1", 0.9),
-        adam_beta2=opts.get("adam_beta2", 0.999),
-        adam_eps=opts.get("adam_eps", 1e-8),
-        batch_size=opts.get("batch_size", 40),
-        epochs_tr=opts.get("epochs_tr", 65),
-        epochs_rs=opts.get("epochs_rs", 2),
-        lr_drop_epoch=opts.get("lr_drop_epoch", 10),
-        lr_after_drop=opts.get("lr_after_drop", 1e-5),
-        dropout_rate=opts.get("dropout_rate", 0.5),
-        input_side=opts.get("input_side", 64),
-        use_flow=use_flow,
-        seed=seed,
-    )
+    cfg = opts.fill(TrainConfig(use_flow=use_flow), use_flow=None)
+    print(f"seed: {cfg.seed}")
     _check_output_file(args.out, args.force)
     n_pairs = opts.get("n_pairs", 500)
     print(f"sampling {n_pairs} training pairs")
     samples = sample_random_pairs(
         n_pairs,
         side=cfg.input_side,
-        max_translation=opts.get("max_translation", 8.0),
-        max_rotation=opts.get("max_rotation", 0.05),
-        max_scale_delta=opts.get("max_scale_delta", 0.03),
-        seed=seed,
+        max_translation=opts.get("max_translation", MAX_TRANSLATION),
+        max_rotation=opts.get("max_rotation", MAX_ROTATION),
+        max_scale_delta=opts.get("max_scale_delta", MAX_SCALE_DELTA),
+        seed=cfg.seed,
     )
     result = train(samples, cfg)
     save_weights(args.out, result)
@@ -241,12 +241,10 @@ def _write_stabilize_outputs(
 
 def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
-    seed = opts.get("seed", 0)
-    print(f"seed: {seed}")
     backend = opts.get("backend", "blockmatch")
-    window = opts.get("window", 51)
-    polyorder = opts.get("polyorder", 1)
-    crop = opts.get("crop", 0.8)
+    window = opts.get("window", SMOOTHING_WINDOW)
+    polyorder = opts.get("polyorder", SMOOTHING_POLYORDER)
+    crop = opts.get("crop", CROP_RATIO)
     out_dir = args.out or os.path.join(args.input, "stabilized")
     _check_output_dir(out_dir, args.force)
     video = ds.read_video_dir(args.input)
@@ -306,13 +304,7 @@ def _evaluate_one(
 
 
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = Options(args, config)
-    seed = opts.get("seed", 0)
-    print(f"seed: {seed}")
-    cfg = MetricsConfig(
-        translation_mode=opts.get("translation_mode", "magnitude", cast=str),
-        block_size=opts.get("metric_block_size", 16),
-    )
+    cfg = Options(args, config).fill(MetricsConfig(), block_size="metric_block_size")
     if args.batch:
         root = args.batch
         entries: list[tuple[str, MetricsReport]] = []
@@ -329,12 +321,7 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
                 continue
             try:
                 report = _evaluate_one(video_dir, stab_dir, cfg)
-            except (
-                AllFramesFailedError,
-                SeriesTooShortError,
-                DegenerateError,
-                FrameMismatchError,
-            ) as exc:
+            except EVALUATION_ERRORS as exc:
                 print(f"warning: {video_id} failed: {exc}", file=sys.stderr)
                 report = MetricsReport(
                     stability_translation=float("nan"),
@@ -385,7 +372,9 @@ def _shared_options(top_level: bool) -> argparse.ArgumentParser:
     """
     unset = None if top_level else argparse.SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=unset, help="master random seed")
+    common.add_argument(
+        "--seed", type=int, default=unset, help="master random seed (generate, train)"
+    )
     common.add_argument("--config", default=unset, help="key=value config file")
     common.add_argument(
         "--force",
@@ -498,6 +487,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.command in ("stabilize", "evaluate"):
+            raise InvalidSpecError(f"{args.command} takes no --seed")
         config = load_config(args.config)
         return args.func(args, config)
     except InvalidSpecError as exc:
@@ -509,12 +500,7 @@ def run(argv: list[str] | None = None) -> int:
     except IoFailureError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        AllFramesFailedError,
-        SeriesTooShortError,
-        DegenerateError,
-        FrameMismatchError,
-    ) as exc:
+    except EVALUATION_ERRORS as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
     except SynthStabError as exc:

@@ -100,25 +100,8 @@ def robust_fit_flow(flow: FlowField) -> AffineParams:
 class BlockMatchEstimator:
     """Block-matching flow plus a trimmed least-squares similarity fit."""
 
-    def __init__(
-        self,
-        block_size: int = 16,
-        search_radius: int = 4,
-        levels: int = 3,
-    ) -> None:
-        self.block_size = block_size
-        self.search_radius = search_radius
-        self.levels = levels
-
     def estimate(self, frame_a: np.ndarray, frame_b: np.ndarray) -> AffineParams:
-        flow = compute_flow(
-            frame_a,
-            frame_b,
-            block_size=self.block_size,
-            search_radius=self.search_radius,
-            levels=self.levels,
-        )
-        return robust_fit_flow(flow)
+        return robust_fit_flow(compute_flow(frame_a, frame_b))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +348,6 @@ def estimate_sequence(
     backend: str,
     marks: list[MarkRecord] | None = None,
     weights: "LearnedEstimator | str | None" = None,
-    block_size: int = 16,
-    search_radius: int = 4,
-    levels: int = 3,
 ) -> tuple[list[AffineParams], list[str]]:
     """Per-pair motion for a frame list; failed pairs become identity.
 
@@ -383,7 +363,7 @@ def estimate_sequence(
         oracle = OracleEstimator(marks)
         runner = lambda i: oracle.estimate(i)
     elif backend == "blockmatch":
-        bm = BlockMatchEstimator(block_size, search_radius, levels)
+        bm = BlockMatchEstimator()
         runner = lambda i: bm.estimate(frames[i], frames[i + 1])
     else:
         if weights is None:

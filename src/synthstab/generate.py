@@ -33,6 +33,14 @@ _STREAM_PATH = 301
 _STREAM_SCENE = 302
 _STREAM_PAIRS = 303
 
+# Training-pair motion bounds: |tx|, |ty| in pixels, |theta| in
+# radians, |s - 1|.
+MAX_TRANSLATION = 8.0
+MAX_ROTATION = 0.05
+MAX_SCALE_DELTA = 0.03
+# Consecutive training pairs rendered from one scene.
+PAIRS_PER_SCENE = 10
+
 
 @dataclass(frozen=True)
 class GenerateConfig:
@@ -176,11 +184,10 @@ class PairSample:
 def sample_random_pairs(
     n_pairs: int,
     side: int = 64,
-    max_translation: float = 8.0,
-    max_rotation: float = 0.05,
-    max_scale_delta: float = 0.03,
+    max_translation: float = MAX_TRANSLATION,
+    max_rotation: float = MAX_ROTATION,
+    max_scale_delta: float = MAX_SCALE_DELTA,
     seed: int = 0,
-    pairs_per_scene: int = 10,
 ) -> list[PairSample]:
     """Frame pairs under known similarity motion, exact targets included.
 
@@ -194,7 +201,7 @@ def sample_random_pairs(
     samples: list[PairSample] = []
     scene: Scene | None = None
     for j in range(n_pairs):
-        if j % pairs_per_scene == 0 or scene is None:
+        if j % PAIRS_PER_SCENE == 0 or scene is None:
             spec = SceneSpec(
                 seed=int(rng.integers(0, 2**31 - 1)),
                 canvas_size=canvas,

@@ -34,6 +34,9 @@ RANK_RATIO_MIN = 1e-10
 # A real warp leaves median fit residuals around a few hundredths of a
 # pixel; unrelated frame content leaves them above a pixel.
 MAX_FIT_RESIDUAL = 1.0
+# Flow block side of the distortion match; ``MetricsConfig.block_size``
+# sets only the stability series.
+DISTORTION_BLOCK_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +265,11 @@ def stability_score(series: np.ndarray) -> float:
 class MetricsConfig:
     """Evaluation knobs; translation defaults to the magnitude series.
 
-    Distortion uses finer blocks than the motion series: its homography
-    needs correspondences spread across the whole frame even after fill
-    regions eat into the stabilized picture.
+    ``block_size`` sets the flow blocks of the stability motion series.
     """
 
     translation_mode: str = "magnitude"
     block_size: int = 16
-    distortion_block_size: int = 16
 
     def __post_init__(self) -> None:
         if self.translation_mode not in ("magnitude", "separate"):
@@ -280,7 +280,7 @@ class MetricsConfig:
 
 
 def pair_motion_series(
-    frames: list[np.ndarray], block_size: int = 16
+    frames: list[np.ndarray], block_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Per-pair (tx, ty, theta) series measured from the frames.
 
@@ -334,7 +334,6 @@ def _center_crop(frame: np.ndarray, height: int, width: int) -> np.ndarray:
 def distortion_score(
     original: list[np.ndarray],
     stabilized: list[np.ndarray],
-    block_size: int = 16,
 ) -> tuple[float, list[str]]:
     """Worst-frame ratio of the homography's singular values.
 
@@ -367,10 +366,12 @@ def distortion_score(
             src, dst = _flow_correspondences(
                 cropped,
                 stab,
-                block_size,
+                DISTORTION_BLOCK_SIZE,
                 max_sad_per_pixel=120.0,
             )
-            src, dst = _refine_correspondences(cropped, stab, src, dst, block_size)
+            src, dst = _refine_correspondences(
+                cropped, stab, src, dst, DISTORTION_BLOCK_SIZE
+            )
             hom = estimate_homography_trimmed(src, dst)
             resid = np.hypot(*(apply_homography(hom, src) - dst).T)
             med_resid = float(np.nanmedian(resid))
@@ -474,9 +475,7 @@ def evaluate(
     o_tr, o_rot, o_avg, w = video_stability(original, cfg)
     warnings.extend(f"original: {msg}" for msg in w)
     try:
-        distortion, w = distortion_score(
-            original, stabilized, cfg.distortion_block_size
-        )
+        distortion, w = distortion_score(original, stabilized)
         warnings.extend(w)
     except (AllFramesFailedError, FrameMismatchError) as exc:
         distortion = float("nan")

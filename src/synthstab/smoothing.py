@@ -18,6 +18,10 @@ from scipy.interpolate import make_interp_spline
 from .affine import AffineParams, wrap_angle
 from .errors import BadWindowError, LengthMismatchError, SignalTooShortError
 
+# Savitzky-Golay window (frames, odd) and polynomial degree.
+SMOOTHING_WINDOW = 51
+SMOOTHING_POLYORDER = 1
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -174,7 +178,9 @@ class SmoothingResult:
 
 
 def smooth_trajectory(
-    traj: Trajectory, window: int = 51, polyorder: int = 1, clamp: bool = True
+    traj: Trajectory,
+    window: int = SMOOTHING_WINDOW,
+    polyorder: int = SMOOTHING_POLYORDER,
 ) -> SmoothingResult:
     """Smooth each trajectory series and derive per-frame corrections.
 
@@ -197,7 +203,7 @@ def smooth_trajectory(
             continue
         up, lo = envelope(values)
         mean_env = (up + lo) / 2.0
-        smoothed_series[name] = savitzky_golay(mean_env, window, polyorder, clamp)
+        smoothed_series[name] = savitzky_golay(mean_env, window, polyorder)
     smoothed = Trajectory(
         smoothed_series["tx"],
         smoothed_series["ty"],

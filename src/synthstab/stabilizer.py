@@ -15,7 +15,17 @@ import numpy as np
 from .affine import AffineParams, invert, params_to_matrix
 from .errors import InvalidSpecError, LengthMismatchError, SingularTransformError
 from .kernels import affine_bilinear
-from .smoothing import SmoothingResult, Trajectory, accumulate, smooth_trajectory
+from .smoothing import (
+    SMOOTHING_POLYORDER,
+    SMOOTHING_WINDOW,
+    SmoothingResult,
+    Trajectory,
+    accumulate,
+    smooth_trajectory,
+)
+
+# Side of the centered crop window as a fraction of the frame side.
+CROP_RATIO = 0.8
 
 
 @dataclass(frozen=True)
@@ -58,40 +68,22 @@ class CropWindow:
         return self.width * self.height
 
 
-def _warp_arrays(
-    frame: np.ndarray, params: AffineParams, fill: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Warped uint8 frame and the boolean in-bounds mask."""
-    arr = np.asarray(frame)
-    if arr.ndim != 2:
-        raise InvalidSpecError("warp_frame expects a 2D grayscale frame")
+def _warp(frame: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
+    """Warped uint8 frame and its boolean in-bounds mask.
+
+    ``params`` is the forward map: output pixel ``q`` shows the input at
+    the preimage of ``q``.  Pixels mapping outside the input are 0.
+    """
     fwd = params_to_matrix(params)
     det = fwd[0, 0] * fwd[1, 1] - fwd[0, 1] * fwd[1, 0]
     if abs(det) < 1e-12:
         raise SingularTransformError(f"transform {params} is not invertible")
     sampling = invert(fwd)
     vals, inside = affine_bilinear(
-        arr.astype(np.float64), sampling, arr.shape[0], arr.shape[1]
+        frame.astype(np.float64), sampling, frame.shape[0], frame.shape[1]
     )
-    out = np.where(
-        inside,
-        np.clip(np.rint(vals), 0, 255),
-        float(fill),
-    ).astype(np.uint8)
+    out = np.where(inside, np.clip(np.rint(vals), 0, 255), 0.0).astype(np.uint8)
     return out, inside
-
-
-def warp_frame(
-    frame: np.ndarray, params: AffineParams, fill: int = 0
-) -> tuple[np.ndarray, float]:
-    """Apply a similarity to a frame; returns it and the valid fraction.
-
-    ``params`` is the forward map: output pixel ``q`` shows the input at
-    the preimage of ``q``.  Pixels mapping outside the input get
-    ``fill``.
-    """
-    out, inside = _warp_arrays(frame, params, fill)
-    return out, float(inside.mean())
 
 
 @dataclass
@@ -110,10 +102,9 @@ class StabilizationResult:
 def stabilize_video(
     frames: list[np.ndarray],
     estimates: list[AffineParams],
-    window: int = 51,
-    polyorder: int = 1,
-    crop_ratio: float = 0.8,
-    fill: int = 0,
+    window: int = SMOOTHING_WINDOW,
+    polyorder: int = SMOOTHING_POLYORDER,
+    crop_ratio: float = CROP_RATIO,
 ) -> StabilizationResult:
     """Smooth the estimated trajectory and warp every frame onto it.
 
@@ -129,7 +120,11 @@ def stabilize_video(
         )
     h, w = frames[0].shape[:2]
     for i, f in enumerate(frames):
-        if f.shape[:2] != (h, w):
+        if f.ndim != 2:
+            raise InvalidSpecError(
+                f"frame {i} has shape {f.shape}, expected a 2D grayscale frame"
+            )
+        if f.shape != (h, w):
             raise LengthMismatchError(
                 f"frame {i} has shape {f.shape}, expected {(h, w)}"
             )
@@ -144,7 +139,7 @@ def stabilize_video(
     fractions: list[float] = []
     warnings: list[str] = []
     for i, frame in enumerate(frames):
-        warped, inside = _warp_arrays(frame, applied[i], fill)
+        warped, inside = _warp(frame, applied[i])
         window_mask = crop.apply(inside.astype(np.uint8))
         fraction = float(window_mask.mean())
         out_frames.append(crop.apply(warped))

@@ -531,7 +531,6 @@ def emit_mark_points(
     k_points: int = 16,
     beta_frames: int = 24,
     sampling_period: int = 12,
-    all_layers: bool = False,
 ) -> list[MarkRecord]:
     """Track short-lived stationary base-plane points across the path.
 
@@ -542,9 +541,8 @@ def emit_mark_points(
     uid's observations form one contiguous frame range of at most
     ``beta_frames`` entries.
 
-    By default points attach to the base plane, which keeps the fitted
-    per-pair motion exact; ``all_layers`` scatters them uniformly
-    across layers instead, deliberately reintroducing parallax error.
+    Points attach to the base plane, which keeps the fitted per-pair
+    motion exact: points on other layers would add parallax error.
     """
     if k_points < 1 or beta_frames < 1 or sampling_period < 1:
         raise InvalidSpecError("k_points, beta_frames, sampling_period must be >= 1")
@@ -554,7 +552,7 @@ def emit_mark_points(
     w, h = spec.frame_width, spec.frame_height
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _STREAM_MARKS)))
     records: list[MarkRecord] = []
-    alive: list[tuple[int, float, float, int, float]] = []  # uid, wx, wy, birth, depth
+    alive: list[tuple[int, float, float, int]] = []  # uid, wx, wy, birth
     next_uid = 0
     for f, pose in enumerate(path):
         alive = [obj for obj in alive if f - obj[3] < beta_frames]
@@ -562,20 +560,15 @@ def emit_mark_points(
             for _ in range(k_points):
                 px = rng.uniform(0.0, w)
                 py = rng.uniform(0.0, h)
-                depth = 1.0
-                if all_layers:
-                    depth = float(
-                        spec.layer_depths[rng.integers(0, spec.n_layers)]
-                    )
-                wx, wy = world_from_screen(px, py, pose, w, h, depth)
-                alive.append((next_uid, wx, wy, f, depth))
+                wx, wy = world_from_screen(px, py, pose, w, h)
+                alive.append((next_uid, wx, wy, f))
                 next_uid += 1
         survivors = []
-        for uid, wx, wy, birth, depth in alive:
-            px, py = screen_from_world(wx, wy, pose, w, h, depth)
+        for uid, wx, wy, birth in alive:
+            px, py = screen_from_world(wx, wy, pose, w, h)
             if 0.0 <= px < w and 0.0 <= py < h:
                 records.append(MarkRecord(uid, f, px, py))
-                survivors.append((uid, wx, wy, birth, depth))
+                survivors.append((uid, wx, wy, birth))
         alive = survivors
     records.sort(key=lambda r: (r.frame_id, r.uid))
     return records

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from synthstab import cli
-from synthstab.generate import video_seed
+from synthstab import dataset as ds
+from synthstab.estimator import estimate_sequence
+from synthstab.generate import GenerateConfig, generate_dataset, video_seed
+from synthstab.metrics import evaluate, write_report
+from synthstab.stabilizer import stabilize_video
 
 
 def _tiny_config(tmp_path):
@@ -59,11 +65,11 @@ def test_missing_config_is_an_io_error(tmp_path):
     assert cli.run(["generate", "--config", missing, "--out", str(tmp_path / "out")]) == cli.EXIT_IO
 
 
-def _shared_at(position, shared, rest):
-    """``generate`` argv with the shared options before or after the subcommand."""
+def _shared_at(position, shared, rest, command="generate"):
+    """``command`` argv with the shared options before or after the subcommand."""
     if position == "before":
-        return shared + ["generate"] + rest
-    return ["generate"] + shared + rest
+        return shared + [command] + rest
+    return [command] + shared + rest
 
 
 @pytest.mark.parametrize("position", ["before", "after"])
@@ -74,6 +80,15 @@ def test_seed_is_honoured_in_either_position(tmp_path, capsys, position):
     assert "seed: 3" in capsys.readouterr().out.splitlines()
     manifest = next(out.rglob("manifest.txt")).read_text(encoding="utf-8")
     assert f"seed={video_seed(3, 0)}" in manifest.splitlines()
+
+
+@pytest.mark.parametrize("command, rest", [("stabilize", ["--input"]), ("evaluate", ["--batch"])])
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_seed_is_rejected_where_nothing_reads_it(tmp_path, capsys, position, command, rest):
+    # A missing input alone would exit with EXIT_IO.
+    argv = _shared_at(position, ["--seed", "3"], rest + [str(tmp_path / "missing")], command)
+    assert cli.run(argv) == cli.EXIT_VALIDATION
+    assert f"{command} takes no --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("position", ["before", "after"])
@@ -91,3 +106,75 @@ def test_force_is_honoured_in_either_position(tmp_path, position):
     argv = _shared_at(position, ["--force"], ["--config", _tiny_config(tmp_path), "--out", str(out)])
     assert cli.run(argv) == cli.EXIT_OK
     assert (out / "keep.txt").exists() and len(list(out.rglob("manifest.txt"))) == 1
+
+
+def _run_ok(argv, capsys):
+    """``cli.run`` that must succeed; returns its stdout lines."""
+    assert cli.run([str(a) for a in argv]) == cli.EXIT_OK
+    return capsys.readouterr().out.splitlines()
+
+
+def _stabilized(video_dir, backend):
+    """The library's stabilization of a video directory."""
+    video = ds.read_video_dir(str(video_dir))
+    marks = video.marks if backend == "oracle" else None
+    est, _ = estimate_sequence(video.frames, backend, marks=marks)
+    return video, stabilize_video(video.frames, est)
+
+
+def _library_report(path, video, result):
+    write_report(str(path), evaluate(video.frames, result.frames, result.applied, result.crop))
+    return path.read_bytes()
+
+
+def test_round_trip_matches_the_library(tmp_path, capsys):
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text(
+        "n_videos=2\nn_frames=12\nwidth=64\nheight=64\nmark_points=6\n", encoding="utf-8"
+    )
+    data, ref = tmp_path / "data", tmp_path / "ref"
+    _run_ok(["generate", "--config", gen_cfg, "--texture", "random", "--out", data], capsys)
+    want = GenerateConfig(
+        n_videos=2, n_frames=12, width=64, height=64, mark_points=6, texture_style="random"
+    )
+    generate_dataset(str(ref), want)
+    assert _files(data) == _files(ref)
+    # Each key changes the output, so the equality above shows that it arrived.
+    for field, changed in (("mark_points", "marks.txt"), ("texture_style", ds.FRAME_PATTERN % 1)):
+        other = tmp_path / field
+        generate_dataset(str(other), replace(want, **{field: getattr(GenerateConfig(), field)}))
+        rel = f"video_000/{changed}"
+        assert (other / rel).read_bytes() != (ref / rel).read_bytes()
+
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text(
+        "n_pairs=8\nbatch_size=4\nepochs_tr=1\nepochs_rs=1\ninput_side=16\nadam_eps=1e-07\n",
+        encoding="utf-8",
+    )
+    weights = tmp_path / "w.bin"
+    _run_ok(["train", "--config", train_cfg, "--no-flow-channel", "--out", weights], capsys)
+    meta = (tmp_path / "w.bin.meta").read_text(encoding="utf-8").splitlines()
+    assert "adam_eps=1e-07" in meta and "use_flow=False" in meta
+
+    video_dir = data / "video_000"
+    for backend in ("oracle", "blockmatch"):
+        out, report = tmp_path / backend, tmp_path / f"{backend}_report.txt"
+        argv = ["stabilize", "--input", video_dir, "--backend", backend, "--out", out]
+        lines = _run_ok(argv, capsys)
+        argv = ["evaluate", "--original", video_dir, "--stabilized", out, "--report", report]
+        lines += _run_ok(argv, capsys)
+        assert not any(ln.startswith("seed:") for ln in lines)
+        video, result = _stabilized(video_dir, backend)
+        ds.write_params_file(str(tmp_path / "applied.txt"), result.applied)
+        applied = (out / "applied_transforms.txt").read_bytes()
+        assert applied == (tmp_path / "applied.txt").read_bytes()
+        assert report.read_bytes() == _library_report(tmp_path / "want.txt", video, result)
+
+    videos = sorted(p for p in data.iterdir() if p.is_dir())
+    for video_dir in videos:
+        _run_ok(["stabilize", "--input", video_dir, "--backend", "oracle"], capsys)
+    _run_ok(["evaluate", "--batch", data], capsys)
+    for video_dir in videos:
+        got = (video_dir / "stabilized" / "report.txt").read_bytes()
+        want_report = _library_report(tmp_path / "want.txt", *_stabilized(video_dir, "oracle"))
+        assert got == want_report
