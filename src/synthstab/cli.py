@@ -90,13 +90,19 @@ def _parse_bool(text: str, key: str) -> bool:
 
 
 class Options:
-    """Merged view of CLI args, config file, and defaults."""
+    """Merged view of CLI args, config file, and defaults.
+
+    Records every name it is asked for, so that :meth:`reject_unread`
+    can refuse config keys the command never reads.
+    """
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]) -> None:
         self._args = args
         self._config = config
+        self._read: set[str] = set()
 
     def get(self, name: str, default, cast=None):
+        self._read.add(name)
         cli_value = getattr(self._args, name, None)
         if cli_value is not None:
             return cli_value
@@ -126,6 +132,18 @@ class Options:
                 values[f.name] = self.get(name, getattr(defaults, f.name))
         return dataclasses.replace(defaults, **values)
 
+    def reject_unread(self) -> None:
+        """Raise for config keys that no :meth:`get` call has read.
+
+        Call once the command has read all of its options and before it
+        writes anything, so that a mistyped key fails the run.
+        """
+        unread = sorted(set(self._config) - self._read)
+        if unread:
+            raise InvalidSpecError(
+                f"{self._args.command} does not read config key(s): {', '.join(unread)}"
+            )
+
 
 def _check_output_dir(path: str, force: bool) -> None:
     if os.path.isdir(path) and os.listdir(path) and not force:
@@ -149,7 +167,9 @@ def _check_output_file(path: str, force: bool) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    cfg = Options(args, config).fill(GenerateConfig(), texture_style="texture")
+    opts = Options(args, config)
+    cfg = opts.fill(GenerateConfig(), texture_style="texture")
+    opts.reject_unread()
     print(f"seed: {cfg.seed}")
     out = args.out
     _check_output_dir(out, args.force)
@@ -163,16 +183,20 @@ def cmd_train(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
     use_flow = not opts.get("no_flow_channel", False, cast=bool)
     cfg = opts.fill(TrainConfig(use_flow=use_flow), use_flow=None)
+    n_pairs = opts.get("n_pairs", 500)
+    max_translation = opts.get("max_translation", MAX_TRANSLATION)
+    max_rotation = opts.get("max_rotation", MAX_ROTATION)
+    max_scale_delta = opts.get("max_scale_delta", MAX_SCALE_DELTA)
+    opts.reject_unread()
     print(f"seed: {cfg.seed}")
     _check_output_file(args.out, args.force)
-    n_pairs = opts.get("n_pairs", 500)
     print(f"sampling {n_pairs} training pairs")
     samples = sample_random_pairs(
         n_pairs,
         side=cfg.input_side,
-        max_translation=opts.get("max_translation", MAX_TRANSLATION),
-        max_rotation=opts.get("max_rotation", MAX_ROTATION),
-        max_scale_delta=opts.get("max_scale_delta", MAX_SCALE_DELTA),
+        max_translation=max_translation,
+        max_rotation=max_rotation,
+        max_scale_delta=max_scale_delta,
         seed=cfg.seed,
     )
     result = train(samples, cfg)
@@ -245,16 +269,20 @@ def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
     window = opts.get("window", SMOOTHING_WINDOW)
     polyorder = opts.get("polyorder", SMOOTHING_POLYORDER)
     crop = opts.get("crop", CROP_RATIO)
+    # Read even where the backend ignores them, so that one config file
+    # serves every backend.
+    weights_path = opts.get("weights", None, cast=str)
+    no_flow_channel = opts.get("no_flow_channel", False, cast=bool)
+    opts.reject_unread()
     out_dir = args.out or os.path.join(args.input, "stabilized")
     _check_output_dir(out_dir, args.force)
     video = ds.read_video_dir(args.input)
     weights = None
     if backend == "learned":
-        weights_path = opts.get("weights", None, cast=str)
         if not weights_path:
             raise InvalidSpecError("learned backend requires --weights")
         weights = LearnedEstimator.from_file(weights_path)
-        if opts.get("no_flow_channel", False, cast=bool) and weights.use_flow:
+        if no_flow_channel and weights.use_flow:
             raise InvalidSpecError(
                 "--no-flow-channel conflicts with weights trained on flow input"
             )
@@ -304,7 +332,9 @@ def _evaluate_one(
 
 
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    cfg = Options(args, config).fill(MetricsConfig(), block_size="metric_block_size")
+    opts = Options(args, config)
+    cfg = opts.fill(MetricsConfig(), block_size="metric_block_size")
+    opts.reject_unread()
     if args.batch:
         root = args.batch
         entries: list[tuple[str, MetricsReport]] = []

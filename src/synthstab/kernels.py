@@ -6,8 +6,10 @@ times each one at its call sites.
 ``bilinear_sample`` is the one bilinear interpolation body: it
 evaluates one floating-point expression tree per sample position, and
 ``affine_bilinear`` only builds those positions from a 2x3 matrix.  The
-SAD kernel works in integers.  Both are therefore exact against their
-brute-force loop oracles, not merely close.
+SAD kernel works in integers, with the block index on the contiguous
+axis of its temporaries so that numpy's inner loops run across blocks.
+Both are therefore exact against their brute-force loop oracles, not
+merely close.
 
 The convolution kernels match loop oracles only to rounding error.  The
 forward pass is one ``einsum``.  The backward pass lowers each gradient
@@ -91,12 +93,17 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     covers ``a[by*block:(by+1)*block, bx*block:(bx+1)*block]``; entry
     ``vol[by, bx, j, i]`` is its SAD against ``b`` displaced by
     ``(seed + (i - radius, j - radius))``.  Displacements that push the
-    block outside ``b`` hold ``INVALID_SAD``.
+    block outside ``b`` hold ``INVALID_SAD``.  The result is a
+    C-contiguous int64 array of shape ``(nby, nbx, k, k)``, with
+    ``k = 2*radius + 1``.
 
     Pixel values must lie in 0..255 (8-bit frames): differences are
-    taken in int16, through a temporary of ``nby*nbx*k*k*block*block``
-    int16 entries, with ``k = 2*radius + 1``.  Its memory does not grow
-    with the seed magnitude.
+    taken in int16, through a temporary of ``k*k*block*block*nby*nbx``
+    int16 entries.  Its memory does not grow with the seed magnitude.
+    The flat block index ``by*nbx + bx`` is the last, contiguous axis
+    of every temporary, so each elementwise pass and each int64
+    addition of the reduction runs over all blocks at once rather than
+    over the pixels of one block row.
     """
     a = np.ascontiguousarray(a, dtype=np.int16)
     b = np.ascontiguousarray(b, dtype=np.int16)
@@ -110,18 +117,22 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     # Top-left corner in b of each block displaced by seed - radius.
     ty = (np.arange(nby) * block)[:, None] + seed_dv - radius
     tx = (np.arange(nbx) * block)[None, :] + seed_du - radius
-    # Gather each block's (k-1+block)^2 search window with the indices
-    # clamped into the frame; entries that read clamped pixels belong to
-    # out-of-frame offsets and are overwritten below.
-    span = np.arange(k - 1 + block)
-    rows = np.clip(ty[:, :, None] + span, 0, h - 1)
-    cols = np.clip(tx[:, :, None] + span, 0, w - 1)
-    win = b[rows[:, :, :, None], cols[:, :, None, :]]
-    cand = np.lib.stride_tricks.sliding_window_view(win, (block, block), axis=(2, 3))
-    blk = a[: nby * block, : nbx * block].reshape(nby, block, nbx, block).swapaxes(1, 2)
-    diff = cand - blk[:, :, None, None]
+    # Gather each block's (k-1+block)^2 search window, laid out as
+    # (row, col, block), with the indices clamped into the frame; entries
+    # that read clamped pixels belong to out-of-frame offsets and are
+    # overwritten below.
+    span = np.arange(k - 1 + block)[:, None]
+    rows = np.clip(ty.ravel() + span, 0, h - 1)
+    cols = np.clip(tx.ravel() + span, 0, w - 1)
+    win = b[rows[:, None], cols[None, :]]
+    cand = np.lib.stride_tricks.sliding_window_view(win, (block, block), axis=(0, 1))
+    cand = cand.transpose(0, 1, 3, 4, 2)
+    blk = a[: nby * block, : nbx * block].reshape(nby, block, nbx, block)
+    blk = blk.transpose(1, 3, 0, 2).reshape(block, block, nby * nbx)
+    diff = cand - blk
     np.abs(diff, out=diff)
-    vol = diff.sum(axis=(4, 5), dtype=np.int64)
+    sad = diff.sum(axis=(2, 3), dtype=np.int64).reshape(k, k, nby, nbx)
+    vol = np.ascontiguousarray(sad.transpose(2, 3, 0, 1))
     off = np.arange(k)
     ys = ty[:, :, None] + off
     xs = tx[:, :, None] + off

@@ -1,9 +1,13 @@
 """Order-preserving map over the usable CPUs.
 
-Flow, fitting and sampling spend their time in numpy calls that
-release the GIL, so independent frame pairs gain from plain threads.
-A pool lives for one call: starting it costs about half a millisecond,
-against 100 ms or more of flow work in every call that uses it.
+Flow, fitting and sampling run in numpy calls that release the GIL
+while they work on arrays, so independent frame pairs can overlap on
+plain threads.  The gain depends on the share of each pair spent
+outside the GIL: on 2 vCPUs, blockmatch estimation gained 1.5-1.7x
+while the SAD kernel took most of each pair, and about 1.0x since
+that kernel became about 2.7x cheaper.  A pool lives for one call: starting it
+costs about half a millisecond, against 50-140 ms of flow work per
+clip in the calls that use it.
 """
 
 from __future__ import annotations

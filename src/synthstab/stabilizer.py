@@ -108,9 +108,10 @@ def stabilize_video(
 ) -> StabilizationResult:
     """Smooth the estimated trajectory and warp every frame onto it.
 
-    Frame 0 is never warped; frame ``i`` (i >= 1) is warped by the
-    correction taking its accumulated raw pose to the smoothed pose.
-    Valid fractions are measured inside the crop window.
+    ``frames`` are uint8 grayscale.  Frame 0 is never warped: its output
+    is its crop, with valid fraction 1.0.  Frame ``i`` (i >= 1) is
+    warped by the correction taking its accumulated raw pose to the
+    smoothed pose.  Valid fractions are measured inside the crop window.
     """
     if len(frames) < 2:
         raise InvalidSpecError("need at least two frames to stabilize")
@@ -135,11 +136,11 @@ def stabilize_video(
     applied: list[AffineParams] = [AffineParams.identity()]
     applied.extend(smoothing.corrections)
 
-    out_frames: list[np.ndarray] = []
-    fractions: list[float] = []
+    out_frames: list[np.ndarray] = [crop.apply(frames[0])]
+    fractions: list[float] = [1.0]
     warnings: list[str] = []
-    for i, frame in enumerate(frames):
-        warped, inside = _warp(frame, applied[i])
+    for i in range(1, len(frames)):
+        warped, inside = _warp(frames[i], applied[i])
         window_mask = crop.apply(inside.astype(np.uint8))
         fraction = float(window_mask.mean())
         out_frames.append(crop.apply(warped))

@@ -108,6 +108,18 @@ def test_force_is_honoured_in_either_position(tmp_path, position):
     assert (out / "keep.txt").exists() and len(list(out.rglob("manifest.txt"))) == 1
 
 
+@pytest.mark.parametrize("line", ["texture_style=checker", "n_frame=99"])
+def test_config_key_the_command_does_not_read_is_rejected(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_videos=1\nwidth=64\nheight=64\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.run(["generate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert line.split("=")[0] in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _run_ok(argv, capsys):
     """``cli.run`` that must succeed; returns its stdout lines."""
     assert cli.run([str(a) for a in argv]) == cli.EXIT_OK
@@ -156,12 +168,18 @@ def test_round_trip_matches_the_library(tmp_path, capsys):
     meta = (tmp_path / "w.bin.meta").read_text(encoding="utf-8").splitlines()
     assert "adam_eps=1e-07" in meta and "use_flow=False" in meta
 
+    # Defaults spelled out; weights is read, and ignored, by every backend.
+    stab_cfg = tmp_path / "stab.cfg"
+    stab_cfg.write_text("crop=0.8\nweights=unused.bin\n", encoding="utf-8")
+    eval_cfg = tmp_path / "eval.cfg"
+    eval_cfg.write_text("translation_mode=magnitude\nmetric_block_size=16\n", encoding="utf-8")
     video_dir = data / "video_000"
     for backend in ("oracle", "blockmatch"):
         out, report = tmp_path / backend, tmp_path / f"{backend}_report.txt"
-        argv = ["stabilize", "--input", video_dir, "--backend", backend, "--out", out]
-        lines = _run_ok(argv, capsys)
-        argv = ["evaluate", "--original", video_dir, "--stabilized", out, "--report", report]
+        argv = ["stabilize", "--config", stab_cfg, "--input", video_dir, "--backend", backend]
+        lines = _run_ok(argv + ["--out", out], capsys)
+        argv = ["evaluate", "--config", eval_cfg, "--original", video_dir, "--stabilized", out]
+        argv += ["--report", report]
         lines += _run_ok(argv, capsys)
         assert not any(ln.startswith("seed:") for ln in lines)
         video, result = _stabilized(video_dir, backend)

@@ -136,10 +136,10 @@ def test_sad_volume_matches_oracle():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    block=st.sampled_from([4, 8, 16]),
+    block=st.sampled_from([4, 5, 8, 16, 32]),
     radius=st.integers(1, 5),
-    rows=st.integers(1, 3),
-    cols=st.integers(1, 3),
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
     extra_h=st.integers(0, 15),
     extra_w=st.integers(0, 15),
     seed_scale=st.sampled_from(["zero", "radius", "block", "off_frame"]),
@@ -148,8 +148,9 @@ def test_sad_volume_matches_oracle():
 def test_sad_volume_matches_oracle_property(
     block, radius, rows, cols, extra_h, extra_w, seed_scale, data_seed
 ):
-    # Frame sizes the block need not divide; seeds from none up to twice
-    # the frame size, which moves whole search windows off the frame.
+    # Frame sizes the block need not divide; block grids up to the 8x8
+    # of the benchmark frames; seeds from none up to twice the frame
+    # size, which moves whole search windows off the frame.
     h = rows * block + extra_h % block
     w = cols * block + extra_w % block
     rng = np.random.default_rng(data_seed)
@@ -160,8 +161,26 @@ def test_sad_volume_matches_oracle_property(
     seed_dv = rng.integers(-lim, lim + 1, size=(rows, cols))
     got = sad_volume(a, b, block, seed_du, seed_dv, radius)
     want = sad_volume_oracle(a, b, block, seed_du, seed_dv, radius)
+    k = 2 * radius + 1
     assert got.dtype == np.int64
+    assert got.shape == (rows, cols, k, k)
+    assert got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [4, 5, 8, 16, 32])
+@pytest.mark.parametrize("dark_first", [True, False])
+def test_sad_volume_reaches_the_saturated_maximum(block, dark_first):
+    # All-0 against all-255 gives 255 * block**2 at every in-frame
+    # offset; at block 32 that is 261120, past the uint16 range.
+    dark = np.zeros((3 * block, 2 * block), dtype=np.int16)
+    bright = np.full_like(dark, 255)
+    a, b = (dark, bright) if dark_first else (bright, dark)
+    seed = np.zeros((3, 2), dtype=np.int64)
+    got = sad_volume(a, b, block, seed, seed, 2)
+    want = sad_volume_oracle(a, b, block, seed, seed, 2)
+    np.testing.assert_array_equal(got, want)
+    assert got[got != INVALID_SAD].min() == got[got != INVALID_SAD].max() == 255 * block * block
 
 
 def test_sad_volume_zero_at_true_shift():

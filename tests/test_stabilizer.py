@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from synthstab import stabilizer
 from synthstab.affine import AffineParams
 from synthstab.errors import InvalidSpecError
 from synthstab.generate import GenerateConfig, make_video
-from synthstab.stabilizer import CROP_RATIO, CropWindow, stabilize_video
+from synthstab.stabilizer import CROP_RATIO, CropWindow, _warp, stabilize_video
 
 
 def test_identity_estimates_give_the_centre_crop_of_every_frame():
@@ -23,6 +24,37 @@ def test_identity_estimates_give_the_centre_crop_of_every_frame():
         np.testing.assert_array_equal(got, res.crop.apply(frame))
     assert res.valid_fractions == [1.0] * len(frames)
     assert res.warnings == []
+
+
+def test_frame_zero_is_cropped_without_a_warp(monkeypatch):
+    cfg = GenerateConfig(n_videos=1, n_frames=12, width=64, height=48, seed=4)
+    frames = make_video(cfg, 0).frames
+    estimates = [
+        AffineParams(tx=1.5 - 0.4 * i, ty=0.25 * i, theta=0.01 * (-1) ** i, s=1.0 + 0.002 * i)
+        for i in range(len(frames) - 1)
+    ]
+    calls = []
+    real = stabilizer.affine_bilinear
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stabilizer, "affine_bilinear", counting)
+    res = stabilize_video(frames, estimates)
+    assert len(calls) == len(frames) - 1
+    assert res.applied[0] == AffineParams.identity()
+    assert any(p != AffineParams.identity() for p in res.applied[1:])
+    np.testing.assert_array_equal(res.frames[0], res.crop.apply(frames[0]))
+    assert res.valid_fractions[0] == 1.0
+    # Warping by the identity would have given the same bits.
+    warped, inside = _warp(frames[0], AffineParams.identity())
+    np.testing.assert_array_equal(res.frames[0], res.crop.apply(warped))
+    assert inside.all()
+    for i in range(1, len(frames)):
+        warped, inside = _warp(frames[i], res.applied[i])
+        np.testing.assert_array_equal(res.frames[i], res.crop.apply(warped))
+        assert res.valid_fractions[i] == float(res.crop.apply(inside.astype(np.uint8)).mean())
 
 
 @pytest.mark.parametrize("colour_index", [0, 1])
