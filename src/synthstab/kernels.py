@@ -8,8 +8,11 @@ evaluates one floating-point expression tree per sample position, and
 ``affine_bilinear`` only builds those positions from a 2x3 matrix.  The
 SAD kernel works in integers, with the block index on the contiguous
 axis of its temporaries so that numpy's inner loops run across blocks.
-Both are therefore exact against their brute-force loop oracles, not
-merely close.
+It sums block rows in int16, which no 8-bit difference can overflow
+within 128 rows, so that the row additions run over whole contiguous
+rows of the temporary without a cast; only the much smaller row sums
+are widened to int64.  Both kernels are therefore exact against their
+brute-force loop oracles, not merely close.
 
 The convolution kernels match loop oracles only to rounding error.  The
 forward pass is one ``einsum``.  The backward pass lowers each gradient
@@ -25,6 +28,8 @@ import numpy as np
 
 # Sentinel SAD for displacements whose block leaves the image.
 INVALID_SAD = np.int64(2) ** 62
+# Block rows per int16 partial SAD sum: 128 * 255 = 32640 <= 32767.
+SAD_ROW_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +54,16 @@ def bilinear_sample(tex, sx, sy):
     fy = sy - y0
     xi0 = np.clip(x0.astype(np.int64), 0, tw - 1)
     yi0 = np.clip(y0.astype(np.int64), 0, th - 1)
-    xi1 = np.minimum(xi0 + 1, tw - 1)
-    yi1 = np.minimum(yi0 + 1, th - 1)
-    t00 = tex[yi0, xi0]
-    t01 = tex[yi0, xi1]
-    t10 = tex[yi1, xi0]
-    t11 = tex[yi1, xi1]
+    # Flat index of each tap; the right and lower neighbours clamp to
+    # the last column and row by adding 0 there.
+    i00 = yi0 * tw + xi0
+    dx = xi0 < tw - 1
+    i10 = i00 + (yi0 < th - 1) * tw
+    flat = tex.ravel()
+    t00 = flat.take(i00)
+    t01 = flat.take(i00 + dx)
+    t10 = flat.take(i10)
+    t11 = flat.take(i10 + dx)
     val = (t00 * (1.0 - fx) + t01 * fx) * (1.0 - fy) + (
         t10 * (1.0 - fx) + t11 * fx
     ) * fy
@@ -71,11 +80,8 @@ def affine_bilinear(tex, matrix, out_h, out_w):
     outside pixels are 0.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    ys, xs = np.meshgrid(
-        np.arange(out_h, dtype=np.float64),
-        np.arange(out_w, dtype=np.float64),
-        indexing="ij",
-    )
+    ys = np.arange(out_h, dtype=np.float64)[:, None]
+    xs = np.arange(out_w, dtype=np.float64)
     sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
     sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
     return bilinear_sample(tex, sx, sy)
@@ -101,9 +107,18 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     taken in int16, through a temporary of ``k*k*block*block*nby*nbx``
     int16 entries.  Its memory does not grow with the seed magnitude.
     The flat block index ``by*nbx + bx`` is the last, contiguous axis
-    of every temporary, so each elementwise pass and each int64
-    addition of the reduction runs over all blocks at once rather than
-    over the pixels of one block row.
+    of every temporary, so each elementwise pass and each addition of
+    the reduction runs over all blocks at once rather than over the
+    pixels of one block row.
+
+    The reduction sums the block rows first, in int16: each row
+    addition then spans ``block * nby*nbx`` contiguous entries and
+    needs no cast, where an int64 sum casts every difference through
+    numpy's buffered loop.  Each absolute difference is at most 255,
+    so a sum of up to ``SAD_ROW_CHUNK = 128`` rows is at most 32640
+    and fits in int16.  Taller blocks are summed in chunks of 128 rows
+    whose column sums are added in int64, so the one path is exact for
+    every block size.
     """
     a = np.ascontiguousarray(a, dtype=np.int16)
     b = np.ascontiguousarray(b, dtype=np.int16)
@@ -131,7 +146,11 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     blk = blk.transpose(1, 3, 0, 2).reshape(block, block, nby * nbx)
     diff = cand - blk
     np.abs(diff, out=diff)
-    sad = diff.sum(axis=(2, 3), dtype=np.int64).reshape(k, k, nby, nbx)
+    # Rows in int16 within each chunk, then columns and chunks in int64.
+    sad = sum(
+        diff[:, :, r : r + SAD_ROW_CHUNK].sum(axis=2, dtype=np.int16).sum(axis=2, dtype=np.int64)
+        for r in range(0, block, SAD_ROW_CHUNK)
+    ).reshape(k, k, nby, nbx)
     vol = np.ascontiguousarray(sad.transpose(2, 3, 0, 1))
     off = np.arange(k)
     ys = ty[:, :, None] + off

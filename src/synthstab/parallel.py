@@ -3,11 +3,12 @@
 Flow, fitting and sampling run in numpy calls that release the GIL
 while they work on arrays, so independent frame pairs can overlap on
 plain threads.  The gain depends on the share of each pair spent
-outside the GIL: on 2 vCPUs, blockmatch estimation gained 1.5-1.7x
-while the SAD kernel took most of each pair, and about 1.0x since
-that kernel became about 2.7x cheaper.  A pool lives for one call: starting it
-costs about half a millisecond, against 50-140 ms of flow work per
-clip in the calls that use it.
+outside the GIL.  On 2 vCPUs, 2 threads against serial:
+``compute_flow`` over the 24 pairs of one 128x128 clip ran 0.9-1.3x,
+the level-0 SAD call (16 px blocks, radius 4) 1.4-2.0x, and
+``robust_fit_flow`` on those flows 0.4-0.6x, slower than serial.  A
+pool lives for one call: starting it costs about half a millisecond,
+against 50-140 ms of flow work per clip in the calls that use it.
 """
 
 from __future__ import annotations

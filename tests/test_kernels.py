@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthstab.kernels import (
     INVALID_SAD,
     affine_bilinear,
     backend_name,
+    bilinear_sample,
     conv2d_backward,
     conv2d_forward,
     sad_volume,
@@ -44,6 +47,43 @@ def sad_volume_oracle(
                     cand = b64[ys : ys + block, xs : xs + block]
                     vol[by, bx, j, i] = np.abs(blk - cand).sum()
     return vol
+
+
+def bilinear_oracle(tex: np.ndarray, sx: float, sy: float) -> tuple[float, bool]:
+    th, tw = tex.shape
+    if not (0.0 <= sx <= tw - 1.0 and 0.0 <= sy <= th - 1.0):
+        return 0.0, False
+    x0, y0 = math.floor(sx), math.floor(sy)
+    fx, fy = sx - x0, sy - y0
+    x1, y1 = min(x0 + 1, tw - 1), min(y0 + 1, th - 1)
+    t = tex.tolist()
+    val = (t[y0][x0] * (1.0 - fx) + t[y0][x1] * fx) * (1.0 - fy) + (
+        t[y1][x0] * (1.0 - fx) + t[y1][x1] * fx
+    ) * fy
+    return val, True
+
+
+def sample_oracle(
+    tex: np.ndarray, sx: np.ndarray, sy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    sx, sy = np.broadcast_arrays(sx, sy)
+    out = np.zeros(sx.shape)
+    inside = np.zeros(sx.shape, dtype=bool)
+    for idx in np.ndindex(sx.shape):
+        out[idx], inside[idx] = bilinear_oracle(tex, float(sx[idx]), float(sy[idx]))
+    return out, inside
+
+
+def affine_bilinear_oracle(tex, m, out_h, out_w):
+    out = np.zeros((out_h, out_w))
+    inside = np.zeros((out_h, out_w), dtype=bool)
+    m = m.tolist()
+    for y in range(out_h):
+        for x in range(out_w):
+            sx = m[0][0] * float(x) + m[0][1] * float(y) + m[0][2]
+            sy = m[1][0] * float(x) + m[1][1] * float(y) + m[1][2]
+            out[y, x], inside[y, x] = bilinear_oracle(tex, sx, sy)
+    return out, inside
 
 
 def conv2d_forward_oracle(xp: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
@@ -93,6 +133,68 @@ def test_affine_bilinear_outside_marked_and_zeroed():
     assert (out[:, 3:] == 0.0).all()
     assert inside[:, :3].all()
     assert (out[:, :3] == 9.0).all()
+
+
+def assert_bitwise_equal(got, want):
+    (out, inside), (want_out, want_inside) = got, want
+    assert out.dtype == np.float64 and out.shape == want_out.shape
+    np.testing.assert_array_equal(inside, want_inside)
+    np.testing.assert_array_equal(out.view(np.int64), want_out.view(np.int64))
+
+
+# Linear terms and offsets that are exact in binary land samples exactly
+# on texel rows and columns, the last ones included, where the right or
+# lower neighbour clamps; arbitrary floats cover the rest.
+_linear = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_offset = st.one_of(
+    st.integers(-3, 12).map(float),
+    st.integers(-6, 24).map(lambda v: v / 2.0),
+    st.floats(-4.0, 14.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    th=st.integers(1, 9),
+    tw=st.integers(1, 9),
+    out_h=st.integers(1, 11),
+    out_w=st.integers(1, 11),
+    m=st.tuples(_linear, _linear, _offset, _linear, _linear, _offset),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@example(th=1, tw=5, out_h=3, out_w=7, m=(1.0, 0.0, -2.0, 0.0, 0.0, 0.0), data_seed=0)
+@example(th=6, tw=1, out_h=8, out_w=2, m=(0.0, 0.0, 0.0, 0.0, 1.0, -2.0), data_seed=1)
+@example(th=4, tw=5, out_h=4, out_w=5, m=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0), data_seed=2)
+def test_affine_bilinear_matches_loop_oracle_bitwise(th, tw, out_h, out_w, m, data_seed):
+    tex = np.random.default_rng(data_seed).uniform(-50.0, 255.0, size=(th, tw))
+    matrix = np.array(m).reshape(2, 3)
+    got = affine_bilinear(tex, matrix, out_h, out_w)
+    assert_bitwise_equal(got, affine_bilinear_oracle(tex, matrix, out_h, out_w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    th=st.integers(1, 9),
+    tw=st.integers(1, 9),
+    n=st.integers(1, 4),
+    bs=st.integers(1, 6),
+    corners=st.lists(st.tuples(_offset, _offset), min_size=4, max_size=4),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_bilinear_sample_broadcast_patches_match_loop_oracle_bitwise(
+    th, tw, n, bs, corners, data_seed
+):
+    # The (n, 1, bs) and (n, bs, 1) coordinates of the per-cell patch
+    # stack that metrics._refine_correspondences samples.
+    tex = np.random.default_rng(data_seed).uniform(0.0, 255.0, size=(th, tw))
+    cx, cy = np.array(corners[:n]).T
+    pos = np.arange(bs, dtype=np.float64)
+    sx = pos + cx[:, None, None]
+    sy = pos[:, None] + cy[:, None, None]
+    assert_bitwise_equal(bilinear_sample(tex, sx, sy), sample_oracle(tex, sx, sy))
 
 
 def test_affine_bilinear_matches_manual_interpolation():
@@ -168,11 +270,13 @@ def test_sad_volume_matches_oracle_property(
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("block", [4, 5, 8, 16, 32])
+@pytest.mark.parametrize("block", [4, 5, 8, 16, 32, 128, 136])
 @pytest.mark.parametrize("dark_first", [True, False])
 def test_sad_volume_reaches_the_saturated_maximum(block, dark_first):
     # All-0 against all-255 gives 255 * block**2 at every in-frame
-    # offset; at block 32 that is 261120, past the uint16 range.
+    # offset; at block 32 that is 261120, past the uint16 range.  At
+    # block 128 each int16 row sum is at its largest, 128 * 255 =
+    # 32640; block 136 needs a second 128-row chunk.
     dark = np.zeros((3 * block, 2 * block), dtype=np.int16)
     bright = np.full_like(dark, 255)
     a, b = (dark, bright) if dark_first else (bright, dark)
