@@ -18,6 +18,7 @@ from .cnn import Adam, ConvRegressor, NetworkShape, load_tensors, save_tensors
 from .dataset import atomic_write_text
 from .errors import (
     DegenerateFlowError,
+    FrameMismatchError,
     InvalidSpecError,
     IoFailureError,
     NonFiniteEstimateError,
@@ -25,10 +26,9 @@ from .errors import (
     ShapeMismatchError,
     SynthStabError,
 )
-from .flow import FlowField, compute_flow, flow_to_dense
+from .flow import FlowField, compute_flow, flow_to_dense, stack_frames
 from .generate import PairSample
 from .kernels import affine_bilinear
-from .parallel import pmap
 from .synthworld import MarkRecord, marks_by_frame, pair_correspondences
 
 ROBUST_ROUNDS = 3
@@ -98,7 +98,11 @@ def robust_fit_flow(flow: FlowField) -> AffineParams:
 
 
 class BlockMatchEstimator:
-    """Block-matching flow plus a trimmed least-squares similarity fit."""
+    """Block-matching flow plus a trimmed least-squares similarity fit.
+
+    This is the one-pair API; ``estimate_sequence`` runs the flow of a
+    whole clip in one stacked ``compute_flow`` call instead.
+    """
 
     def estimate(self, frame_a: np.ndarray, frame_b: np.ndarray) -> AffineParams:
         return robust_fit_flow(compute_flow(frame_a, frame_b))
@@ -183,12 +187,23 @@ def preprocess_pair(
 def build_training_arrays(
     samples: list[PairSample], cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Network inputs plus translation and rotation/scale target rows."""
+    """Network inputs plus translation and rotation/scale target rows.
+
+    With ``cfg.use_flow`` the flow of every pair comes from one stacked
+    ``compute_flow`` call.
+    """
+    flows = None
+    if cfg.use_flow:
+        flows = compute_flow(
+            stack_frames([s.frame_a for s in samples]),
+            stack_frames([s.frame_b for s in samples]),
+        )
     xs = []
     t_tr = []
     t_rs = []
-    for s in samples:
-        x, r = preprocess_pair(s.frame_a, s.frame_b, cfg.input_side, cfg.use_flow)
+    for p, s in enumerate(samples):
+        flow = None if flows is None else flows.pair(p)
+        x, r = preprocess_pair(s.frame_a, s.frame_b, cfg.input_side, cfg.use_flow, flow=flow)
         xs.append(x)
         t_tr.append((s.params.tx * r, s.params.ty * r))
         t_rs.append((s.params.theta, s.params.s))
@@ -363,8 +378,19 @@ def estimate_sequence(
         oracle = OracleEstimator(marks)
         runner = lambda i: oracle.estimate(i)
     elif backend == "blockmatch":
-        bm = BlockMatchEstimator()
-        runner = lambda i: bm.estimate(frames[i], frames[i + 1])
+        try:
+            stack = stack_frames(frames)
+            flows = compute_flow(stack[:-1], stack[1:])
+        except FrameMismatchError as exc:
+            # The frames of the clip, not one pair, fail the check, so
+            # every pair fails with it.
+            failure = exc
+
+            def runner(i: int) -> AffineParams:
+                raise failure
+
+        else:
+            runner = lambda i: robust_fit_flow(flows.pair(i))
     else:
         if weights is None:
             raise InvalidSpecError("learned backend requires weights")
@@ -381,8 +407,5 @@ def estimate_sequence(
         except SynthStabError as exc:
             return AffineParams.identity(), f"pair {i}: {exc}; substituted identity"
 
-    pairs = range(len(frames) - 1)
-    # Only block matching gains from a thread per pair: the oracle is
-    # too cheap, and the CNN forward already keeps BLAS on every CPU.
-    results = pmap(attempt, pairs) if backend == "blockmatch" else [attempt(i) for i in pairs]
+    results = [attempt(i) for i in range(len(frames) - 1)]
     return [e for e, _ in results], [w for _, w in results if w is not None]

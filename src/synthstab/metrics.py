@@ -21,9 +21,8 @@ from .errors import (
     FrameMismatchError,
     SeriesTooShortError,
 )
-from .flow import QUALITY_MAX_SAD_PER_PIXEL, compute_flow
+from .flow import FlowField, compute_flow, stack_frames
 from .kernels import affine_bilinear, bilinear_sample
-from .parallel import pmap
 from .stabilizer import CropWindow
 
 MIN_SERIES_LENGTH = 8
@@ -98,15 +97,8 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return h / h[2, 2]
 
 
-def _flow_correspondences(
-    frame_a: np.ndarray,
-    frame_b: np.ndarray,
-    block_size: int,
-    max_sad_per_pixel: float = QUALITY_MAX_SAD_PER_PIXEL,
-) -> tuple[np.ndarray, np.ndarray]:
-    flow = compute_flow(
-        frame_a, frame_b, block_size=block_size, max_sad_per_pixel=max_sad_per_pixel
-    )
+def _flow_correspondences(flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
+    """Block centres and their matches over the valid cells of one pair."""
     mask = flow.valid.ravel()
     if int(mask.sum()) < 4:
         raise DegenerateError(
@@ -289,15 +281,26 @@ def pair_motion_series(
     if len(frames) < 2:
         raise SeriesTooShortError("need at least two frames for a motion series")
 
-    def pair_motion(i: int) -> tuple[tuple[float, float, float], str | None]:
-        try:
-            src, dst = _flow_correspondences(frames[i], frames[i + 1], block_size)
-            h = estimate_homography(src, dst)
-        except (DegenerateError, FrameMismatchError) as exc:
-            return (0.0, 0.0, 0.0), f"pair {i}: untrackable ({exc}); motion set to zero"
-        return (h[0, 2], h[1, 2], math.atan2(h[1, 0], h[0, 0])), None
+    n_pairs = len(frames) - 1
 
-    results = pmap(pair_motion, range(len(frames) - 1))
+    def untrackable(i: int, exc: Exception) -> tuple[tuple[float, float, float], str]:
+        return (0.0, 0.0, 0.0), f"pair {i}: untrackable ({exc}); motion set to zero"
+
+    try:
+        stack = stack_frames(frames)
+        flows = compute_flow(stack[:-1], stack[1:], block_size=block_size)
+    except FrameMismatchError as exc:
+        # A check on the frames, not on one pair, failed.
+        results = [untrackable(i, exc) for i in range(n_pairs)]
+    else:
+        results = []
+        for i in range(n_pairs):
+            try:
+                h = estimate_homography(*_flow_correspondences(flows.pair(i)))
+            except DegenerateError as exc:
+                results.append(untrackable(i, exc))
+            else:
+                results.append(((h[0, 2], h[1, 2], math.atan2(h[1, 0], h[0, 0])), None))
     tx, ty, theta = np.array([m for m, _ in results], dtype=np.float64).T.copy()
     return tx, ty, theta, [w for _, w in results if w is not None]
 
@@ -331,6 +334,19 @@ def _center_crop(frame: np.ndarray, height: int, width: int) -> np.ndarray:
     return frame[y0 : y0 + height, x0 : x0 + width]
 
 
+def _distortion_ratio(cropped: np.ndarray, stab: np.ndarray, flow: FlowField) -> float:
+    """Singular-value ratio of the map fitted from ``cropped`` to ``stab``."""
+    src, dst = _flow_correspondences(flow)
+    src, dst = _refine_correspondences(cropped, stab, src, dst, DISTORTION_BLOCK_SIZE)
+    hom = estimate_homography_trimmed(src, dst)
+    resid = np.hypot(*(apply_homography(hom, src) - dst).T)
+    med_resid = float(np.nanmedian(resid))
+    if not med_resid < MAX_FIT_RESIDUAL:
+        raise DegenerateError(f"no coherent map (median residual {med_resid:.2f} px)")
+    sigma = np.linalg.svd(hom[:2, :2], compute_uv=False)
+    return float(sigma[1] / max(sigma[0], 1e-300))
+
+
 def distortion_score(
     original: list[np.ndarray],
     stabilized: list[np.ndarray],
@@ -349,42 +365,49 @@ def distortion_score(
             f"{len(original)} original vs {len(stabilized)} stabilized frames"
         )
 
-    def frame_ratio(i: int) -> tuple[float | None, str | None]:
-        stab = stabilized[i]
+    def skipped(i: int, exc: Exception) -> tuple[None, str]:
+        return None, f"frame {i}: distortion skipped ({exc})"
+
+    # (ratio, warning) per frame, in frame order.
+    results: list[tuple[float | None, str | None]] = [(None, None)] * len(original)
+    warped: list[int] = []
+    crops: list[np.ndarray] = []
+    for i, stab in enumerate(stabilized):
         try:
-            h1, w1 = stab.shape
-            cropped = _center_crop(original[i], h1, w1)
-            # A frame the stabilizer left unwarped (frame 0, always) is
-            # its own crop: its map is the identity.
-            if np.array_equal(cropped, stab):
-                return 1.0, None
+            cropped = _center_crop(original[i], *stab.shape)
+        except FrameMismatchError as exc:
+            results[i] = skipped(i, exc)
+            continue
+        # A frame the stabilizer left unwarped (frame 0, always) is its
+        # own crop: its map is the identity.
+        if np.array_equal(cropped, stab):
+            results[i] = (1.0, None)
+        else:
+            warped.append(i)
+            crops.append(cropped)
+    if warped:
+        stabs = [stabilized[i] for i in warped]
+        try:
             # The stabilized frame is a resampled copy, so even perfect
             # matches have a large SAD against the crisp original; widen
             # the texture gate.  Border matches stay distrusted: a block
             # whose true match falls partly off-frame settles on an
             # in-frame false minimum instead.
-            src, dst = _flow_correspondences(
-                cropped,
-                stab,
-                DISTORTION_BLOCK_SIZE,
+            flows = compute_flow(
+                stack_frames(crops),
+                stack_frames(stabs),
+                block_size=DISTORTION_BLOCK_SIZE,
                 max_sad_per_pixel=120.0,
             )
-            src, dst = _refine_correspondences(
-                cropped, stab, src, dst, DISTORTION_BLOCK_SIZE
-            )
-            hom = estimate_homography_trimmed(src, dst)
-            resid = np.hypot(*(apply_homography(hom, src) - dst).T)
-            med_resid = float(np.nanmedian(resid))
-            if not med_resid < MAX_FIT_RESIDUAL:
-                raise DegenerateError(
-                    f"no coherent map (median residual {med_resid:.2f} px)"
-                )
-            sigma = np.linalg.svd(hom[:2, :2], compute_uv=False)
-            return float(sigma[1] / max(sigma[0], 1e-300)), None
-        except (DegenerateError, FrameMismatchError) as exc:
-            return None, f"frame {i}: distortion skipped ({exc})"
-
-    results = pmap(frame_ratio, range(len(original)))
+        except FrameMismatchError as exc:
+            for i in warped:
+                results[i] = skipped(i, exc)
+        else:
+            for p, i in enumerate(warped):
+                try:
+                    results[i] = (_distortion_ratio(crops[p], stabs[p], flows.pair(p)), None)
+                except DegenerateError as exc:
+                    results[i] = skipped(i, exc)
     ratios = [r for r, _ in results if r is not None]
     if not ratios:
         raise AllFramesFailedError(

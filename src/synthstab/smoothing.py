@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -114,8 +115,18 @@ def _clamped_window(window: int, n: int) -> int:
     return w
 
 
-def _design_matrix(offsets: np.ndarray, polyorder: int) -> np.ndarray:
-    return np.vander(offsets.astype(np.float64), polyorder + 1, increasing=True)
+@lru_cache(maxsize=256)
+def _fit_pinv(first: int, last: int, polyorder: int) -> np.ndarray:
+    """Read-only pseudo-inverse of the polynomial design matrix over the
+    window offsets ``first..last``.
+
+    Every clip of one length smooths with the same few windows, so the
+    matrices are computed once per (offsets, degree).
+    """
+    offsets = np.arange(first, last + 1, dtype=np.float64)
+    pinv = np.linalg.pinv(np.vander(offsets, polyorder + 1, increasing=True))
+    pinv.flags.writeable = False
+    return pinv
 
 
 def savitzky_golay(
@@ -147,9 +158,7 @@ def savitzky_golay(
     out = np.empty_like(x)
     n = x.size
     if n >= w:
-        offsets = np.arange(-half, half + 1)
-        design = _design_matrix(offsets, polyorder)
-        center_coeffs = np.linalg.pinv(design)[0]
+        center_coeffs = _fit_pinv(-half, half, polyorder)[0]
         windows = np.lib.stride_tricks.sliding_window_view(x, w)
         out[half : n - half] = windows @ center_coeffs
     for i in range(min(half, n)):
@@ -162,10 +171,8 @@ def savitzky_golay(
 def _edge_fit(x: np.ndarray, i: int, half: int, polyorder: int) -> float:
     lo = max(0, i - half)
     hi = min(x.size - 1, i + half)
-    offsets = np.arange(lo, hi + 1) - i
-    order = min(polyorder, offsets.size - 1)
-    design = _design_matrix(offsets, order)
-    coeffs = np.linalg.pinv(design) @ x[lo : hi + 1]
+    order = min(polyorder, hi - lo)
+    coeffs = _fit_pinv(lo - i, hi - i, order) @ x[lo : hi + 1]
     return float(coeffs[0])
 
 

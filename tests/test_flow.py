@@ -1,4 +1,5 @@
-"""Tests for block-matching flow against a per-block loop reference."""
+"""Tests for block-matching flow against a per-block loop reference,
+and for stacked calls against per-pair calls."""
 
 from __future__ import annotations
 
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from synthstab import estimator, generate, stabilizer
+from synthstab import estimator, flow, generate, stabilizer
+from synthstab.errors import FrameMismatchError
 from synthstab.flow import (
     QUALITY_MAX_SAD_PER_PIXEL,
     TEXTURE_MIN_RANGE,
     _build_pyramid,
     compute_flow,
+    stack_frames,
 )
 from synthstab.generate import GenerateConfig
 from synthstab.kernels import INVALID_SAD, sad_volume
@@ -207,3 +210,100 @@ def test_compute_flow_recovers_known_shift(dx, dy):
     assert flow.valid[interior].all()
     assert (flow.u[interior] == dx).all()
     assert (flow.v[interior] == dy).all()
+
+
+# ---------------------------------------------------------------------------
+# Stacked pairs against one call per pair
+# ---------------------------------------------------------------------------
+
+
+def _assert_stack_matches_pairs(pairs):
+    """One stacked call equals a 2-D call per pair, bit for bit."""
+    kwargs = pairs[0][2]
+    got = compute_flow(
+        stack_frames([a for a, _, _ in pairs]), stack_frames([b for _, b, _ in pairs]), **kwargs
+    )
+    assert got.u.shape[0] == len(pairs)
+    for p, (a, b, _) in enumerate(pairs):
+        one = compute_flow(a, b, **kwargs)
+        mine = got.pair(p)
+        for arr, ref in zip((mine.u, mine.v, mine.valid), (one.u, one.v, one.valid)):
+            assert arr.dtype == ref.dtype
+            np.testing.assert_array_equal(arr, ref)
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_KINDS))
+def test_stacked_flow_matches_per_pair_calls(kind):
+    pairs = PAIR_KINDS[kind]()
+    got = _assert_stack_matches_pairs(pairs)
+    assert got.valid.any()
+    # The block grid of the stabilized 102 px frames leaves 6 px of pad
+    # in each frame's row stride.
+    h = pairs[0][0].shape[0]
+    assert (kind == "crop_vs_stabilized") == (h % got.block_size != 0)
+
+
+def test_stacked_flow_splits_pairs_over_sad_calls(monkeypatch):
+    pairs = _consecutive(2, "random") + _consecutive(1, "mixed")
+    pairs_per_call = {}
+    real = flow.sad_volume
+
+    def counted(a, b, block, seed_du, seed_dv, radius):
+        # Every level of a 128 px frame is 8 blocks tall.
+        assert a.ndim == 2 and a.shape[0] % (8 * block) == 0
+        pairs_per_call.setdefault(block, []).append(a.shape[0] // (8 * block))
+        return real(a, b, block, seed_du, seed_dv, radius)
+
+    monkeypatch.setattr(flow, "sad_volume", counted)
+    compute_flow(stack_frames([a for a, _, _ in pairs]), stack_frames([b for _, b, _ in pairs]))
+    monkeypatch.undo()
+    # One pair per call at 16 px blocks; the pairs of the 8 px level
+    # fill more than one call.
+    assert pairs_per_call == {4: [10], 8: [6, 4], 16: [1] * 10}
+    _assert_stack_matches_pairs(pairs)
+
+
+def test_stacked_flow_with_a_flat_frame_matches_per_pair_calls():
+    frames = list(_clip(1, "mixed", frames=8).frames)
+    frames[3] = np.full_like(frames[3], 128)
+    pairs = [(a, b, {}) for a, b in zip(frames[:-1], frames[1:])]
+    got = _assert_stack_matches_pairs(pairs)
+    assert not got.valid[2].any() and not got.valid[3].any()
+    assert got.valid[[0, 1, 4, 5, 6]].any(axis=(1, 2)).all()
+
+
+def test_two_dimensional_input_gives_two_dimensional_field():
+    a, b, _ = _consecutive(1, "mixed")[0]
+    one = compute_flow(a, b)
+    stacked = compute_flow(a[None], b[None])
+    assert one.u.shape == one.valid.shape == (8, 8)
+    assert stacked.u.shape == (1, 8, 8)
+    np.testing.assert_array_equal(one.block_centers(), stacked.block_centers())
+    np.testing.assert_array_equal(one.u, stacked.pair(0).u)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [
+        ((3, 64, 64), (2, 64, 64)),
+        ((64, 64), (1, 64, 64)),
+        ((2, 64, 64), (2, 64, 48)),
+        ((1, 2, 64, 64), (1, 2, 64, 64)),
+        ((0, 64, 64), (0, 64, 64)),
+        ((2, 12, 64), (2, 12, 64)),
+    ],
+)
+def test_mismatched_flow_inputs_raise(shape_a, shape_b):
+    with pytest.raises(FrameMismatchError):
+        compute_flow(np.zeros(shape_a, np.uint8), np.zeros(shape_b, np.uint8))
+
+
+def test_stack_frames_needs_one_two_dimensional_shape():
+    with pytest.raises(FrameMismatchError):
+        stack_frames([np.zeros((8, 8)), np.zeros((8, 9))])
+    with pytest.raises(FrameMismatchError):
+        stack_frames([np.zeros((2, 8, 8))])
+    with pytest.raises(FrameMismatchError):
+        stack_frames([])
+    assert stack_frames([np.zeros((8, 9))] * 3).shape == (3, 8, 9)

@@ -9,6 +9,7 @@ import pytest
 
 from synthstab.affine import AffineParams
 from synthstab.errors import BadWindowError, LengthMismatchError, SignalTooShortError
+from synthstab import smoothing
 from synthstab.smoothing import (
     Trajectory,
     accumulate,
@@ -51,6 +52,19 @@ def test_sg_matches_brute_force_windows():
         got = savitzky_golay(x, 51, 1)
         want = sg_oracle(x, 51, 1)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_sg_cached_fits_are_read_only_and_change_no_bit():
+    rng = np.random.default_rng(47)
+    x, y = rng.normal(size=(2, 30))
+    smoothing._fit_pinv.cache_clear()
+    fresh = [savitzky_golay(s, 23, 1) for s in (x, y)]
+    assert smoothing._fit_pinv.cache_info().hits > 0
+    cached = [savitzky_golay(s, 23, 1) for s in (x, y)]
+    for got, want in zip(cached, fresh):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError):
+        smoothing._fit_pinv(-11, 11, 1)[0, 0] = 0.0
 
 
 def test_sg_matches_brute_force_other_orders():
