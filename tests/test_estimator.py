@@ -1,16 +1,13 @@
-"""Tests for the oracle backend against the synthetic ground truth,
-and for the blockmatch backend against a per-pair loop."""
+"""Tests for the oracle backend against the synthetic ground truth."""
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
-from synthstab.affine import AffineParams, wrap_angle
-from synthstab.errors import SynthStabError
-from synthstab.estimator import BlockMatchEstimator, estimate_sequence
+from synthstab.affine import wrap_angle
+from synthstab.estimator import estimate_sequence
 from synthstab.generate import GenerateConfig, make_video
 
 
@@ -30,50 +27,3 @@ def test_oracle_estimates_reproduce_ground_truth(layers, style):
         assert abs(got.ty - want.ty) <= 1e-9
         assert abs(wrap_angle(got.theta - want.theta)) <= 1e-9
         assert abs(got.s - want.s) <= 1e-9
-
-
-def _with_flat_frame(frames, index):
-    """A copy of ``frames`` with frame ``index`` replaced by a flat grey one."""
-    out = list(frames)
-    out[index] = np.full_like(frames[index], 128)
-    return out
-
-
-def blockmatch_loop_reference(frames):
-    """One ``BlockMatchEstimator.estimate`` call per pair, in order."""
-    est, warns = [], []
-    for i in range(len(frames) - 1):
-        try:
-            est.append(BlockMatchEstimator().estimate(frames[i], frames[i + 1]))
-        except SynthStabError as exc:
-            est.append(AffineParams.identity())
-            warns.append(f"pair {i}: {exc}; substituted identity")
-    return est, warns
-
-
-CLIPS = [(1, "mixed", None), (2, "random", None), (1, "mixed", 5), (2, "random", 1)]
-
-
-@pytest.mark.parametrize("layers, style, flat", CLIPS)
-def test_blockmatch_estimates_match_per_pair_loop(layers, style, flat):
-    cfg = GenerateConfig(
-        n_videos=1, n_frames=12, width=128, height=128, seed=3, n_layers=layers, texture_style=style
-    )
-    frames = make_video(cfg, 0).frames
-    if flat is not None:
-        frames = _with_flat_frame(frames, flat)
-    est, warn = estimate_sequence(frames, "blockmatch")
-    assert (est, warn) == blockmatch_loop_reference(frames)
-    if flat is None:
-        assert warn == []
-    else:
-        # Both pairs touching the flat frame fall back to identity, in order.
-        assert [w.split(":")[0] for w in warn] == [f"pair {flat - 1}", f"pair {flat}"]
-        assert est[flat - 1] == est[flat] == AffineParams.identity()
-
-
-def test_blockmatch_frames_smaller_than_a_block_fail_every_pair():
-    frames = [np.full((12, 12), v, dtype=np.uint8) for v in (10, 90, 170)]
-    est, warn = estimate_sequence(frames, "blockmatch")
-    assert (est, warn) == blockmatch_loop_reference(frames)
-    assert len(warn) == 2 and all("smaller than one 16px block" in w for w in warn)

@@ -11,7 +11,6 @@ from scipy.ndimage import gaussian_filter
 from synthstab import estimator, metrics, stabilizer
 from synthstab.affine import AffineParams
 from synthstab.errors import DegenerateError
-from synthstab.flow import FlowField
 from synthstab.generate import GenerateConfig, make_video
 from synthstab.kernels import affine_bilinear, bilinear_sample
 
@@ -301,53 +300,3 @@ def test_unwarped_first_frame_runs_no_flow(monkeypatch):
         assert np.array_equal(stabs[p], res.frames[i])
         assert not np.array_equal(stabs[p], first)
 
-
-# ---------------------------------------------------------------------------
-# Stacked flow in evaluate against one flow call per pair
-# ---------------------------------------------------------------------------
-
-
-def _with_flat_frame(frames, index):
-    """A copy of ``frames`` with frame ``index`` replaced by a flat grey one."""
-    out = list(frames)
-    out[index] = np.full_like(frames[index], 128)
-    return out
-
-
-def _per_pair_flow(real):
-    """``compute_flow`` on a stack as a loop of 2-D calls, one per pair."""
-
-    def loop(frames_a, frames_b, **kwargs):
-        flows = [real(a, b, **kwargs) for a, b in zip(frames_a, frames_b)]
-        return FlowField(
-            u=np.stack([f.u for f in flows]),
-            v=np.stack([f.v for f in flows]),
-            valid=np.stack([f.valid for f in flows]),
-            block_size=flows[0].block_size,
-        )
-
-    return loop
-
-
-CLIPS = [(1, "mixed", None), (2, "random", None), (1, "mixed", 5), (2, "random", 1)]
-
-
-@pytest.mark.parametrize("layers, style, flat", CLIPS)
-def test_evaluate_report_matches_per_pair_loop(monkeypatch, layers, style, flat):
-    clip, res = _oracle_stabilized(layers, style)
-    stabilized = res.frames if flat is None else _with_flat_frame(res.frames, flat)
-    report = metrics.evaluate(clip.frames, stabilized, res.applied, res.crop)
-    with monkeypatch.context() as m:
-        m.setattr(metrics, "compute_flow", _per_pair_flow(metrics.compute_flow))
-        ref = metrics.evaluate(clip.frames, stabilized, res.applied, res.crop)
-    assert report.rows() == ref.rows()
-    assert report.warnings == ref.warnings
-    if flat is not None:
-        # Both pairs touching the flat frame carry zero motion, in order,
-        # and the flat frame's distortion is skipped.
-        assert [w.split(":")[:2] for w in report.warnings[:2]] == [
-            ["stabilized", f" pair {flat - 1}"],
-            ["stabilized", f" pair {flat}"],
-        ]
-        assert all("motion set to zero" in w for w in report.warnings[:2])
-        assert report.warnings[-1].startswith(f"frame {flat}: distortion skipped")
