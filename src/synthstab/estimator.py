@@ -331,8 +331,12 @@ class LearnedEstimator:
     def from_file(cls, path: str) -> "LearnedEstimator":
         return cls(load_tensors(path))
 
-    def estimate(self, frame_a: np.ndarray, frame_b: np.ndarray) -> AffineParams:
-        x, r = preprocess_pair(frame_a, frame_b, self.input_side, self.use_flow)
+    def estimate(
+        self, frame_a: np.ndarray, frame_b: np.ndarray, flow: FlowField | None = None
+    ) -> AffineParams:
+        """Motion from ``frame_a`` to ``frame_b``; ``flow`` is their
+        precomputed flow field, computed here when needed and absent."""
+        x, r = preprocess_pair(frame_a, frame_b, self.input_side, self.use_flow, flow=flow)
         batch = x[None, :, :, :]
         mean_tr, std_tr = self.norms["tr"]
         mean_rs, std_rs = self.norms["rs"]
@@ -358,6 +362,12 @@ class LearnedEstimator:
 BACKENDS = ("oracle", "blockmatch", "learned")
 
 
+def _clip_flow(frames: list[np.ndarray]) -> FlowField:
+    """Flow of every consecutive pair of a clip, in one stacked call."""
+    stack = stack_frames(frames)
+    return compute_flow(stack[:-1], stack[1:])
+
+
 def estimate_sequence(
     frames: list[np.ndarray],
     backend: str,
@@ -379,8 +389,7 @@ def estimate_sequence(
         runner = lambda i: oracle.estimate(i)
     elif backend == "blockmatch":
         try:
-            stack = stack_frames(frames)
-            flows = compute_flow(stack[:-1], stack[1:])
+            flows = _clip_flow(frames)
         except FrameMismatchError as exc:
             # The frames of the clip, not one pair, fail the check, so
             # every pair fails with it.
@@ -399,7 +408,17 @@ def estimate_sequence(
             if isinstance(weights, LearnedEstimator)
             else LearnedEstimator.from_file(weights)
         )
-        runner = lambda i: learned.estimate(frames[i], frames[i + 1])
+        flows = None
+        if learned.use_flow:
+            try:
+                flows = _clip_flow(frames)
+            except FrameMismatchError:
+                # Each pair then computes its own flow, and fails, or
+                # not, on its own.
+                pass
+        runner = lambda i: learned.estimate(
+            frames[i], frames[i + 1], None if flows is None else flows.pair(i)
+        )
 
     def attempt(i: int) -> tuple[AffineParams, str | None]:
         try:

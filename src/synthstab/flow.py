@@ -22,6 +22,7 @@ that pair alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,17 +53,27 @@ class FlowField:
     block_size: int
 
     def block_centers(self) -> np.ndarray:
-        """(nby*nbx, 2) array of block-center (x, y) image coordinates."""
+        """Read-only (nby*nbx, 2) array of block-center (x, y) image
+        coordinates."""
         nby, nbx = self.u.shape[-2:]
-        half = (self.block_size - 1) / 2.0
-        xs = np.arange(nbx) * self.block_size + half
-        ys = np.arange(nby) * self.block_size + half
-        gx, gy = np.meshgrid(xs, ys)
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
+        return _block_centers(nby, nbx, self.block_size)
 
     def pair(self, p: int) -> FlowField:
         """The 2-D flow field of pair ``p`` of a stack."""
         return FlowField(self.u[p], self.v[p], self.valid[p], self.block_size)
+
+
+@lru_cache(maxsize=64)
+def _block_centers(nby: int, nbx: int, block_size: int) -> np.ndarray:
+    """Block centres of one grid, computed once: every pair of a clip,
+    and every clip of one size, shares its grid."""
+    half = (block_size - 1) / 2.0
+    xs = np.arange(nbx) * block_size + half
+    ys = np.arange(nby) * block_size + half
+    gx, gy = np.meshgrid(xs, ys)
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    centers.flags.writeable = False
+    return centers
 
 
 def stack_frames(frames: list[np.ndarray]) -> np.ndarray:

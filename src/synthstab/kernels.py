@@ -14,6 +14,16 @@ rows of the temporary without a cast; only the much smaller row sums
 are widened to int64.  Both kernels are therefore exact against their
 brute-force loop oracles, not merely close.
 
+Both kernels gather pixels with one ``take(..., mode="clip")`` on the
+flattened image per gather, with no clamped row and column indices.
+An index that falls outside the image, or wraps into a neighbouring
+row, belongs only to results the kernel discards: sample positions
+outside the texture, whose value is then set to 0, and SAD offsets
+whose block leaves the frame, which are set to ``INVALID_SAD``.  The
+sampler evaluates its interpolation in place in the gathered tap
+arrays, one rounding per operation as written, so the bits match an
+out-of-place evaluation of the same expression.
+
 The convolution kernels match loop oracles only to rounding error.  The
 forward pass is one ``einsum``.  The backward pass lowers each gradient
 to one matrix product over gathered columns and passes BLAS the same
@@ -50,24 +60,34 @@ def bilinear_sample(tex, sx, sy):
     inside = (sx >= 0.0) & (sx <= tw - 1.0) & (sy >= 0.0) & (sy <= th - 1.0)
     x0 = np.floor(sx)
     y0 = np.floor(sy)
+    xi0 = x0.astype(np.int64)
+    yi0 = y0.astype(np.int64)
     fx = sx - x0
     fy = sy - y0
-    xi0 = np.clip(x0.astype(np.int64), 0, tw - 1)
-    yi0 = np.clip(y0.astype(np.int64), 0, th - 1)
     # Flat index of each tap; the right and lower neighbours clamp to
-    # the last column and row by adding 0 there.
+    # the last column and row by adding 0 there.  Only outside
+    # positions, zeroed below, index out of the texture.
     i00 = yi0 * tw + xi0
     dx = xi0 < tw - 1
     i10 = i00 + (yi0 < th - 1) * tw
     flat = tex.ravel()
-    t00 = flat.take(i00)
-    t01 = flat.take(i00 + dx)
-    t10 = flat.take(i10)
-    t11 = flat.take(i10 + dx)
-    val = (t00 * (1.0 - fx) + t01 * fx) * (1.0 - fy) + (
-        t10 * (1.0 - fx) + t11 * fx
-    ) * fy
-    out = np.where(inside, val, 0.0)
+    t00 = flat.take(i00, mode="clip")
+    t01 = flat.take(i00 + dx, mode="clip")
+    t10 = flat.take(i10, mode="clip")
+    t11 = flat.take(i10 + dx, mode="clip")
+    # (t00*(1-fx) + t01*fx)*(1-fy) + (t10*(1-fx) + t11*fx)*fy, in place.
+    gx = 1.0 - fx
+    t00 *= gx
+    t01 *= fx
+    t00 += t01
+    t10 *= gx
+    t11 *= fx
+    t10 += t11
+    t00 *= 1.0 - fy
+    t10 *= fy
+    t00 += t10
+    out = np.asarray(t00)  # 0-d coordinates give numpy scalars
+    out[np.logical_not(inside)] = 0.0
     return out, inside
 
 
@@ -111,6 +131,14 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     the reduction runs over all blocks at once rather than over the
     pixels of one block row.
 
+    The search windows are gathered by flat index into ``b`` with one
+    ``take(..., mode="clip")``.  A window entry outside the frame then
+    reads some in-frame pixel instead: the wrapped-around pixel of a
+    neighbouring row, or the first or last pixel of ``b``.  That value
+    is still in 0..255, and only offsets whose block leaves the frame
+    cover such an entry; their SADs are overwritten with
+    ``INVALID_SAD``, so no output depends on what was read.
+
     The reduction sums the block rows first, in int16: each row
     addition then spans ``block * nby*nbx`` contiguous entries and
     needs no cast, where an int64 sum casts every difference through
@@ -133,13 +161,12 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     ty = (np.arange(nby) * block)[:, None] + seed_dv - radius
     tx = (np.arange(nbx) * block)[None, :] + seed_du - radius
     # Gather each block's (k-1+block)^2 search window, laid out as
-    # (row, col, block), with the indices clamped into the frame; entries
-    # that read clamped pixels belong to out-of-frame offsets and are
-    # overwritten below.
+    # (row, col, block), by flat index into b; entries outside the
+    # frame belong to offsets overwritten below.
     span = np.arange(k - 1 + block)[:, None]
-    rows = np.clip(ty.ravel() + span, 0, h - 1)
-    cols = np.clip(tx.ravel() + span, 0, w - 1)
-    win = b[rows[:, None], cols[None, :]]
+    rows = (ty.ravel() + span) * w
+    cols = tx.ravel() + span
+    win = b.ravel().take(rows[:, None] + cols[None, :], mode="clip")
     cand = np.lib.stride_tricks.sliding_window_view(win, (block, block), axis=(0, 1))
     cand = cand.transpose(0, 1, 3, 4, 2)
     blk = a[: nby * block, : nbx * block].reshape(nby, block, nbx, block)

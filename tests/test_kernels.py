@@ -197,6 +197,30 @@ def test_bilinear_sample_broadcast_patches_match_loop_oracle_bitwise(
     assert_bitwise_equal(bilinear_sample(tex, sx, sy), sample_oracle(tex, sx, sy))
 
 
+@pytest.mark.parametrize("far", [np.nan, np.inf, -np.inf, 1e18, -1e18])
+def test_bilinear_sample_far_and_nan_coordinates_read_zero_outside(far):
+    # Positions this far out give tap indices far outside the texture,
+    # or none at all (NaN); the clipped gathers keep the reads in
+    # bounds, and every such position is outside and 0.
+    tex = np.random.default_rng(4).uniform(0.0, 255.0, size=(5, 7))
+    sx = np.array([far, 2.5, far, 6.0, 0.0])
+    sy = np.array([1.5, far, far, 4.0, 0.25])
+    with np.errstate(invalid="ignore", over="ignore"):
+        out, inside = bilinear_sample(tex, sx, sy)
+    np.testing.assert_array_equal(inside, [False, False, False, True, True])
+    assert_bitwise_equal((out, inside), sample_oracle(tex, sx, sy))
+    # The broadcast (n, 1, bs) and (n, bs, 1) patch coordinates.
+    pos = np.arange(3, dtype=np.float64)
+    cx = np.array([far, 1.0, far])
+    cy = np.array([0.5, far, far])
+    psx = pos + cx[:, None, None]
+    psy = pos[:, None] + cy[:, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = bilinear_sample(tex, psx, psy)
+    assert not got[1].any()
+    assert_bitwise_equal(got, sample_oracle(tex, psx, psy))
+
+
 def test_affine_bilinear_matches_manual_interpolation():
     rng = np.random.default_rng(5)
     tex = rng.uniform(0.0, 255.0, size=(16, 16))

@@ -12,7 +12,8 @@ import pytest
 from synthstab import estimator, metrics, stabilizer
 from synthstab.affine import AffineParams
 from synthstab.errors import SynthStabError
-from synthstab.estimator import BlockMatchEstimator, estimate_sequence
+from synthstab.cnn import ConvRegressor, NetworkShape
+from synthstab.estimator import BlockMatchEstimator, LearnedEstimator, estimate_sequence
 from synthstab.flow import FlowField
 from synthstab.generate import GenerateConfig, make_video
 
@@ -76,6 +77,67 @@ def test_blockmatch_frames_smaller_than_a_block_fail_every_pair():
     frames = [np.full((12, 12), v, dtype=np.uint8) for v in (10, 90, 170)]
     est, warn = estimate_sequence(frames, "blockmatch")
     assert (est, warn) == blockmatch_serial_reference(frames)
+    assert len(warn) == 2 and all("smaller than one 16px block" in w for w in warn)
+
+
+# ---------------------------------------------------------------------------
+# learned estimate_sequence against one LearnedEstimator call per pair
+# ---------------------------------------------------------------------------
+
+
+def _flow_regressors(side=16):
+    """A learned backend with flow channels and untrained weights."""
+    tensors = {}
+    for prefix, seed in (("tr", 1), ("rs", 2)):
+        net = ConvRegressor(
+            NetworkShape(in_channels=4, input_side=side, dropout_rate=0.0), seed=seed
+        )
+        for name in net.param_names():
+            tensors[f"{prefix}_{name}"] = net.params[name]
+        tensors[f"{prefix}_target_mean"] = np.array([0.5, 1.0])
+        tensors[f"{prefix}_target_std"] = np.array([2.0, 0.01])
+    tensors["meta_input_side"] = np.array([float(side)])
+    tensors["meta_use_flow"] = np.array([1.0])
+    return LearnedEstimator(tensors)
+
+
+def learned_serial_reference(learned, frames):
+    """One ``LearnedEstimator.estimate`` call per pair, in order."""
+    est, warns = [], []
+    for i in range(len(frames) - 1):
+        try:
+            est.append(learned.estimate(frames[i], frames[i + 1]))
+        except SynthStabError as exc:
+            est.append(AffineParams.identity())
+            warns.append(f"pair {i}: {exc}; substituted identity")
+    return est, warns
+
+
+def _bits(estimates):
+    return np.array([(e.tx, e.ty, e.theta, e.s) for e in estimates]).view(np.int64)
+
+
+@pytest.mark.parametrize("layers, style", [(1, "mixed"), (2, "random")])
+def test_learned_estimates_match_serial_with_one_flow_call(monkeypatch, layers, style):
+    frames = _clip(layers, style, n_frames=8).frames
+    learned = _flow_regressors()
+    calls = []
+    real = estimator.compute_flow
+    monkeypatch.setattr(
+        estimator, "compute_flow", lambda a, b: calls.append(np.shape(a)) or real(a, b)
+    )
+    est, warn = estimate_sequence(frames, "learned", weights=learned)
+    assert calls == [(7, 128, 128)]
+    ref_est, ref_warn = learned_serial_reference(learned, frames)
+    assert warn == ref_warn == []
+    np.testing.assert_array_equal(_bits(est), _bits(ref_est))
+
+
+def test_learned_frames_smaller_than_a_block_fail_every_pair():
+    frames = [np.full((12, 12), v, dtype=np.uint8) for v in (10, 90, 170)]
+    learned = _flow_regressors()
+    est, warn = estimate_sequence(frames, "learned", weights=learned)
+    assert (est, warn) == learned_serial_reference(learned, frames)
     assert len(warn) == 2 and all("smaller than one 16px block" in w for w in warn)
 
 
