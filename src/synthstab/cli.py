@@ -64,7 +64,7 @@ def load_config(path: str | None) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailureError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -173,8 +173,7 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
     print(f"seed: {cfg.seed}")
     out = args.out
     _check_output_dir(out, args.force)
-    manifest = generate_dataset(out, cfg)
-    for video_id in manifest.video_ids:
+    for video_id in generate_dataset(out, cfg):
         print(f"wrote {os.path.join(out, video_id)} ({cfg.n_frames} frames)")
     return EXIT_OK
 
@@ -219,9 +218,6 @@ def _write_stabilize_outputs(
     crop_ratio: float,
     est_warnings: list[str],
 ) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for i, frame in enumerate(result.frames):
-        ds.write_pgm(os.path.join(out_dir, ds.FRAME_PATTERN % i), frame)
     write_trajectory_csv(
         os.path.join(out_dir, "trajectory.csv"),
         result.raw_trajectory,
@@ -230,16 +226,11 @@ def _write_stabilize_outputs(
     ds.write_params_file(
         os.path.join(out_dir, "applied_transforms.txt"), result.applied
     )
-    ds.write_manifest(
-        os.path.join(out_dir, "manifest.txt"),
-        {
-            "n_frames": len(result.frames),
-            "fps": video.fps,
-            "width": result.crop.width,
-            "height": result.crop.height,
-            "seed": video.seed,
-            "n_layers": video.n_layers,
-        },
+    # After applied_transforms.txt: a manifest without it reads as a
+    # plain crop.
+    ds.write_video_dir(
+        out_dir,
+        ds.VideoData(video.video_id, result.frames, video.fps, video.seed, video.n_layers),
     )
     fractions = result.valid_fractions
     lines = [
@@ -316,19 +307,22 @@ def _evaluate_one(
     original_dir: str, stabilized_dir: str, cfg: MetricsConfig
 ) -> MetricsReport:
     orig = ds.read_video_dir(original_dir)
-    stab_manifest = ds.read_manifest(os.path.join(stabilized_dir, "manifest.txt"))
-    stab_frames = ds.read_frames(stabilized_dir, stab_manifest["n_frames"])
+    stab = ds.read_video_dir(stabilized_dir)
     applied_path = os.path.join(stabilized_dir, "applied_transforms.txt")
     if os.path.exists(applied_path):
         applied = ds.read_params_file(applied_path)
+        if len(applied) != len(stab.frames):
+            raise IoFailureError(
+                f"{applied_path}: {len(applied)} transforms for {len(stab.frames)} frames"
+            )
     else:
         # No stabilizer metadata: treat the frames as a plain crop.
-        applied = [AffineParams.identity() for _ in stab_frames]
-    cw, ch = stab_manifest["width"], stab_manifest["height"]
+        applied = [AffineParams.identity() for _ in stab.frames]
     crop = CropWindow(
-        (orig.width - cw) // 2, (orig.height - ch) // 2, cw, ch
+        (orig.width - stab.width) // 2, (orig.height - stab.height) // 2,
+        stab.width, stab.height,
     )
-    return evaluate(orig.frames, stab_frames, applied, crop, cfg)
+    return evaluate(orig.frames, stab.frames, applied, crop, cfg)
 
 
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:

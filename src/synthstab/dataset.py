@@ -1,10 +1,14 @@
 """On-disk dataset layout and file formats.
 
 A dataset is a directory of video subdirectories.  Each video holds
-binary PGM frames (``frame_%06d.pgm``), the tracked-point observations
-(``marks.txt``), the per-pair motion parameters (``gt_affine.txt``),
-and a ``manifest.txt`` with the video's shape and seed.  All writers
-are atomic (temp file + rename) and all text is UTF-8.
+binary PGM frames (``frame_%06d.pgm``) and a ``manifest.txt`` with the
+video's shape and seed; the manifest marks the directory as a video.
+Two files are optional and written only when the video has them: the
+tracked-point observations (``marks.txt``, one ``frame uid x y`` line
+each, held in memory as one ``MARK_DTYPE`` array sorted by (frame,
+uid)) and the per-pair motion parameters (``gt_affine.txt``).  No
+other module knows these file names.  All writers are atomic (temp
+file + rename) and all text is UTF-8.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .affine import AffineParams
 from .errors import IoFailureError
-from .synthworld import MarkRecord
+from .synthworld import MARK_DTYPE
 
 FRAME_PATTERN = "frame_%06d.pgm"
 MANIFEST_KEYS = ("n_frames", "fps", "width", "height", "seed", "n_layers")
@@ -126,6 +130,15 @@ def read_pgm(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def read_lines(path: str) -> list[str]:
+    """The non-blank lines of a UTF-8 text file, stripped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailureError(f"cannot read {path}: {exc}") from exc
+
+
 def params_to_line(p: AffineParams) -> str:
     return " ".join(
         format_param_float(v) for v in (p.tx, p.ty, p.theta, p.s)
@@ -148,38 +161,44 @@ def write_params_file(path: str, params: list[AffineParams]) -> None:
 
 
 def read_params_file(path: str) -> list[AffineParams]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    return [params_from_line(ln, path) for ln in lines]
+    return [params_from_line(ln, path) for ln in read_lines(path)]
 
 
-def write_marks(path: str, records: list[MarkRecord]) -> None:
-    ordered = sorted(records, key=lambda r: (r.frame_id, r.uid))
-    lines = [f"{r.frame_id} {r.uid} {float(r.x)!r} {float(r.y)!r}" for r in ordered]
+def _by_frame_and_uid(marks: np.ndarray) -> np.ndarray:
+    return marks[np.lexsort((marks["uid"], marks["frame"]))]
+
+
+def write_marks(path: str, marks: np.ndarray) -> None:
+    """Write a ``MARK_DTYPE`` array as ``frame uid x y`` lines."""
+    lines = [f"{f} {u} {x!r} {y!r}" for f, u, x, y in _by_frame_and_uid(marks).tolist()]
     atomic_write_text(path, "".join(ln + "\n" for ln in lines))
 
 
-def read_marks(path: str) -> list[MarkRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    records = []
-    for ln in lines:
+def read_marks(path: str) -> np.ndarray:
+    """The ``MARK_DTYPE`` array of a marks file, sorted by (frame, uid).
+
+    Raises :class:`IoFailureError` for a malformed line or a (frame,
+    uid) pair given twice.
+    """
+    rows = []
+    for ln in read_lines(path):
         parts = ln.split()
         if len(parts) != 4:
             raise IoFailureError(f"{path}: expected 4 fields, got {ln!r}")
         try:
-            records.append(
-                MarkRecord(int(parts[1]), int(parts[0]), float(parts[2]), float(parts[3]))
-            )
+            rows.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
         except ValueError as exc:
             raise IoFailureError(f"{path}: bad value in {ln!r}") from exc
-    return records
+    try:
+        marks = _by_frame_and_uid(np.array(rows, dtype=MARK_DTYPE))
+    except OverflowError as exc:
+        raise IoFailureError(f"{path}: id out of range: {exc}") from exc
+    keys = marks[["frame", "uid"]]
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        f, u = keys[repeated[0]].tolist()
+        raise IoFailureError(f"{path}: frame {f} lists mark {u} twice")
+    return marks
 
 
 def write_manifest(path: str, values: dict) -> None:
@@ -191,13 +210,8 @@ def write_manifest(path: str, values: dict) -> None:
 
 
 def read_manifest(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
     values: dict = {}
-    for ln in lines:
+    for ln in read_lines(path):
         if "=" not in ln:
             raise IoFailureError(f"{path}: expected key=value, got {ln!r}")
         key, _, val = ln.partition("=")
@@ -205,7 +219,14 @@ def read_manifest(path: str) -> dict:
     for key in MANIFEST_KEYS:
         if key not in values:
             raise IoFailureError(f"{path}: missing manifest key {key}")
-        values[key] = int(values[key])
+        try:
+            values[key] = int(values[key])
+        except ValueError as exc:
+            raise IoFailureError(
+                f"{path}: manifest key {key} is not an integer: {values[key]!r}"
+            ) from exc
+    if values["n_frames"] < 1:
+        raise IoFailureError(f"{path}: n_frames must be at least 1, got {values['n_frames']}")
     return values
 
 
@@ -223,7 +244,7 @@ class VideoData:
     fps: int
     seed: int
     n_layers: int
-    marks: list[MarkRecord] = field(default_factory=list)
+    marks: np.ndarray = field(default_factory=lambda: np.empty(0, MARK_DTYPE))
     gt: list[AffineParams] = field(default_factory=list)
 
     @property
@@ -235,21 +256,15 @@ class VideoData:
         return int(self.frames[0].shape[0])
 
 
-@dataclass
-class DatasetManifest:
-    """Index of the videos found in (or written to) a dataset root."""
-
-    root: str
-    video_ids: list[str]
-
-
 def write_video_dir(directory: str, video: VideoData) -> None:
-    """Write one video's frames and ground-truth files."""
-    os.makedirs(directory, exist_ok=True)
+    """Write one video's frames and manifest, and its marks and
+    ground truth when it has them.  The manifest comes last."""
     for i, frame in enumerate(video.frames):
         write_pgm(os.path.join(directory, FRAME_PATTERN % i), frame)
-    write_marks(os.path.join(directory, "marks.txt"), video.marks)
-    write_params_file(os.path.join(directory, "gt_affine.txt"), video.gt)
+    if len(video.marks):
+        write_marks(os.path.join(directory, "marks.txt"), video.marks)
+    if video.gt:
+        write_params_file(os.path.join(directory, "gt_affine.txt"), video.gt)
     write_manifest(
         os.path.join(directory, "manifest.txt"),
         {
@@ -263,24 +278,13 @@ def write_video_dir(directory: str, video: VideoData) -> None:
     )
 
 
-def write_dataset(root: str, videos: list[VideoData]) -> DatasetManifest:
-    """Write every video under ``root``; returns the resulting index."""
-    os.makedirs(root, exist_ok=True)
-    for video in videos:
-        write_video_dir(os.path.join(root, video.video_id), video)
-    return DatasetManifest(root, [v.video_id for v in videos])
-
-
-def read_frames(directory: str, n_frames: int) -> list[np.ndarray]:
-    return [
-        read_pgm(os.path.join(directory, FRAME_PATTERN % i)) for i in range(n_frames)
-    ]
-
-
 def read_video_dir(directory: str) -> VideoData:
     """Load one video directory back into memory."""
     manifest = read_manifest(os.path.join(directory, "manifest.txt"))
-    frames = read_frames(directory, manifest["n_frames"])
+    frames = [
+        read_pgm(os.path.join(directory, FRAME_PATTERN % i))
+        for i in range(manifest["n_frames"])
+    ]
     for frame in frames:
         if frame.shape != (manifest["height"], manifest["width"]):
             raise IoFailureError(
@@ -288,7 +292,7 @@ def read_video_dir(directory: str) -> VideoData:
             )
     marks_path = os.path.join(directory, "marks.txt")
     gt_path = os.path.join(directory, "gt_affine.txt")
-    marks = read_marks(marks_path) if os.path.exists(marks_path) else []
+    marks = read_marks(marks_path) if os.path.exists(marks_path) else np.empty(0, MARK_DTYPE)
     gt = read_params_file(gt_path) if os.path.exists(gt_path) else []
     if gt and len(gt) != manifest["n_frames"] - 1:
         raise IoFailureError(
@@ -305,17 +309,13 @@ def read_video_dir(directory: str) -> VideoData:
     )
 
 
+def is_video_dir(path: str) -> bool:
+    return os.path.isdir(path) and os.path.exists(os.path.join(path, "manifest.txt"))
+
+
 def list_video_dirs(root: str) -> list[str]:
     """Video subdirectories of a dataset root, sorted by name."""
     if not os.path.isdir(root):
         raise IoFailureError(f"dataset root {root} is not a directory")
-    out = []
-    for name in sorted(os.listdir(root)):
-        sub = os.path.join(root, name)
-        if os.path.isdir(sub) and os.path.exists(os.path.join(sub, "manifest.txt")):
-            out.append(sub)
-    return out
-
-
-def is_video_dir(path: str) -> bool:
-    return os.path.isdir(path) and os.path.exists(os.path.join(path, "manifest.txt"))
+    subdirs = (os.path.join(root, name) for name in sorted(os.listdir(root)))
+    return [sub for sub in subdirs if is_video_dir(sub)]

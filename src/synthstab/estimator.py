@@ -29,27 +29,12 @@ from .errors import (
 from .flow import FlowField, compute_flow, flow_to_dense, stack_frames
 from .generate import PairSample
 from .kernels import affine_bilinear
-from .synthworld import MarkRecord, marks_by_frame, pair_correspondences
+from .synthworld import pair_correspondences
 
 ROBUST_ROUNDS = 3
 ROBUST_FACTOR = 3.0
 MIN_FLOW_CELLS = 8
 MIN_PREDICTED_SCALE = 0.01
-
-
-# ---------------------------------------------------------------------------
-# Oracle backend
-# ---------------------------------------------------------------------------
-
-
-class OracleEstimator:
-    """Fits the ground-truth mark tracks; exact up to the solver."""
-
-    def __init__(self, marks: list[MarkRecord]) -> None:
-        self._by_frame = marks_by_frame(marks)
-
-    def estimate(self, pair_index: int) -> AffineParams:
-        return fit_similarity(*pair_correspondences(self._by_frame, pair_index))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +356,14 @@ def _clip_flow(frames: list[np.ndarray]) -> FlowField:
 def estimate_sequence(
     frames: list[np.ndarray],
     backend: str,
-    marks: list[MarkRecord] | None = None,
+    marks: np.ndarray | None = None,
     weights: "LearnedEstimator | str | None" = None,
 ) -> tuple[list[AffineParams], list[str]]:
     """Per-pair motion for a frame list; failed pairs become identity.
 
-    Returns the estimates and a warning string per substituted pair.
+    The oracle fits the ``MARK_DTYPE`` array ``marks``, exact up to
+    the solver.  Returns the estimates and a warning string per
+    substituted pair.
     """
     if backend not in BACKENDS:
         raise InvalidSpecError(f"unknown backend {backend!r}, options: {BACKENDS}")
@@ -385,8 +372,7 @@ def estimate_sequence(
     if backend == "oracle":
         if marks is None:
             raise InvalidSpecError("oracle backend requires mark records")
-        oracle = OracleEstimator(marks)
-        runner = lambda i: oracle.estimate(i)
+        runner = lambda i: fit_similarity(*pair_correspondences(marks, i))
     elif backend == "blockmatch":
         try:
             flows = _clip_flow(frames)

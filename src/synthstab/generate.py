@@ -7,12 +7,13 @@ output files.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .affine import AffineParams
-from .dataset import DatasetManifest, VideoData, write_dataset
+from .dataset import VideoData, write_video_dir
 from .errors import InvalidSpecError
 from .synthworld import (
     TEXTURE_STYLES,
@@ -162,9 +163,14 @@ def make_video(cfg: GenerateConfig, index: int) -> VideoData:
     )
 
 
-def generate_dataset(root: str, cfg: GenerateConfig) -> DatasetManifest:
-    videos = [make_video(cfg, i) for i in range(cfg.n_videos)]
-    return write_dataset(root, videos)
+def generate_dataset(root: str, cfg: GenerateConfig) -> list[str]:
+    """Render every video into its directory under ``root``; returns the ids."""
+    video_ids = []
+    for i in range(cfg.n_videos):
+        video = make_video(cfg, i)
+        write_video_dir(os.path.join(root, video.video_id), video)
+        video_ids.append(video.video_id)
+    return video_ids
 
 
 # ---------------------------------------------------------------------------

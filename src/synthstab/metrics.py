@@ -19,6 +19,7 @@ from .errors import (
     AllFramesFailedError,
     DegenerateError,
     FrameMismatchError,
+    InvalidSpecError,
     SeriesTooShortError,
 )
 from .flow import FlowField, compute_flow, stack_frames
@@ -265,7 +266,7 @@ class MetricsConfig:
 
     def __post_init__(self) -> None:
         if self.translation_mode not in ("magnitude", "separate"):
-            raise DegenerateError(
+            raise InvalidSpecError(
                 f"translation_mode must be magnitude or separate, "
                 f"got {self.translation_mode!r}"
             )

@@ -176,14 +176,10 @@ class Scene:
     layers: tuple[Layer, ...] = field(repr=False, default=())
 
 
-@dataclass(frozen=True)
-class MarkRecord:
-    """One observation of a tracked world point on the screen."""
-
-    uid: int
-    frame_id: int
-    x: float
-    y: float
+# One observation of a tracked world point on the screen.
+MARK_DTYPE = np.dtype(
+    [("frame", np.int64), ("uid", np.int64), ("x", np.float64), ("y", np.float64)]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +527,7 @@ def emit_mark_points(
     k_points: int = 16,
     beta_frames: int = 24,
     sampling_period: int = 12,
-) -> list[MarkRecord]:
+) -> np.ndarray:
     """Track short-lived stationary base-plane points across the path.
 
     Every ``sampling_period`` frames, ``k_points`` fresh screen
@@ -539,7 +535,8 @@ def emit_mark_points(
     Each point is recorded on every subsequent frame while it stays on
     screen and is younger than ``beta_frames``, then discarded, so a
     uid's observations form one contiguous frame range of at most
-    ``beta_frames`` entries.
+    ``beta_frames`` entries.  Returns a ``MARK_DTYPE`` array sorted by
+    (frame, uid).
 
     Points attach to the base plane, which keeps the fitted per-pair
     motion exact: points on other layers would add parallax error.
@@ -551,8 +548,10 @@ def emit_mark_points(
     spec = scene.spec
     w, h = spec.frame_width, spec.frame_height
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _STREAM_MARKS)))
-    records: list[MarkRecord] = []
-    alive: list[tuple[int, float, float, int]] = []  # uid, wx, wy, birth
+    rows: list[tuple[int, int, float, float]] = []
+    # (uid, wx, wy, birth), in ascending uid order, so rows come out
+    # sorted by (frame, uid).
+    alive: list[tuple[int, float, float, int]] = []
     next_uid = 0
     for f, pose in enumerate(path):
         alive = [obj for obj in alive if f - obj[3] < beta_frames]
@@ -567,35 +566,28 @@ def emit_mark_points(
         for uid, wx, wy, birth in alive:
             px, py = screen_from_world(wx, wy, pose, w, h)
             if 0.0 <= px < w and 0.0 <= py < h:
-                records.append(MarkRecord(uid, f, px, py))
+                rows.append((f, uid, px, py))
                 survivors.append((uid, wx, wy, birth))
         alive = survivors
-    records.sort(key=lambda r: (r.frame_id, r.uid))
-    return records
-
-
-def marks_by_frame(records: list[MarkRecord]) -> dict[int, dict[int, tuple[float, float]]]:
-    """Index mark records as frame_id -> uid -> (x, y)."""
-    table: dict[int, dict[int, tuple[float, float]]] = {}
-    for r in records:
-        table.setdefault(r.frame_id, {})[r.uid] = (r.x, r.y)
-    return table
+    return np.array(rows, dtype=MARK_DTYPE)
 
 
 def pair_correspondences(
-    table: dict[int, dict[int, tuple[float, float]]], pair_index: int
+    marks: np.ndarray, pair_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched mark positions between frame ``pair_index`` and the next.
 
-    Returns ``(src, dst)``, two ``(n, 2)`` float64 arrays of (x, y)
-    positions whose rows follow ascending mark uid.
+    ``marks`` is a ``MARK_DTYPE`` array sorted by frame with each
+    (frame, uid) once.  Returns ``(src, dst)``, two ``(n, 2)`` float64
+    arrays of (x, y) positions whose rows follow ascending mark uid.
     """
-    a = table.get(pair_index, {})
-    b = table.get(pair_index + 1, {})
-    shared = sorted(set(a) & set(b))
+    lo, mid, hi = np.searchsorted(marks["frame"], pair_index + np.arange(3))
+    a, b = marks[lo:mid], marks[mid:hi]
+    shared, ia, ib = np.intersect1d(
+        a["uid"], b["uid"], assume_unique=True, return_indices=True
+    )
     if len(shared) < 2:
         raise InsufficientMarksError(pair_index, len(shared))
-    src = np.array([a[uid] for uid in shared], dtype=np.float64)
-    dst = np.array([b[uid] for uid in shared], dtype=np.float64)
+    src = np.stack([a["x"][ia], a["y"][ia]], axis=1)
+    dst = np.stack([b["x"][ib], b["y"][ib]], axis=1)
     return src, dst
-

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from synthstab import cli
@@ -196,3 +197,69 @@ def test_round_trip_matches_the_library(tmp_path, capsys):
         got = (video_dir / "stabilized" / "report.txt").read_bytes()
         want_report = _library_report(tmp_path / "want.txt", *_stabilized(video_dir, "oracle"))
         assert got == want_report
+
+
+def _set_manifest(video_dir, key, value):
+    path = video_dir / "manifest.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    path.write_text(
+        "".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln for ln in lines),
+        encoding="utf-8",
+    )
+
+
+def _keep_five_lines(path):
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    path.write_text("".join(lines[:5]), encoding="utf-8")
+
+
+def _shrink_stabilized_frame(video_dir):
+    frame = video_dir / "stabilized" / (ds.FRAME_PATTERN % 1)
+    ds.write_pgm(str(frame), np.zeros((8, 8), np.uint8))
+
+
+@pytest.mark.parametrize(
+    "command, corrupt",
+    [
+        pytest.param("evaluate", _shrink_stabilized_frame, id="stabilized-frame-shape"),
+        pytest.param(
+            "evaluate",
+            lambda d: _set_manifest(d / "stabilized", "n_frames", 0),
+            id="stabilized-no-frames",
+        ),
+        pytest.param(
+            "evaluate",
+            lambda d: _keep_five_lines(d / "stabilized" / "applied_transforms.txt"),
+            id="applied-truncated",
+        ),
+        pytest.param("stabilize", lambda d: _set_manifest(d, "fps", "abc"), id="fps-abc"),
+        pytest.param(
+            "stabilize",
+            lambda d: (d / "marks.txt").write_bytes(b"0 1 2.0 3.0\n\xff\n"),
+            id="marks-not-utf8",
+        ),
+    ],
+)
+def test_corrupt_video_directory_is_an_io_error(tmp_path, capsys, command, corrupt):
+    data = tmp_path / "data"
+    _run_ok(["generate", "--config", _tiny_config(tmp_path), "--out", data], capsys)
+    video_dir = data / "video_000"
+    _run_ok(["stabilize", "--input", video_dir, "--backend", "oracle"], capsys)
+    corrupt(video_dir)
+    if command == "evaluate":
+        argv = ["evaluate", "--original", video_dir, "--stabilized", video_dir / "stabilized"]
+    else:
+        argv = ["stabilize", "--force", "--input", video_dir, "--backend", "oracle"]
+    assert cli.run([str(a) for a in argv]) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error: ") and captured.out == ""
+
+
+def test_bad_translation_mode_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("translation_mode=foo\n", encoding="utf-8")
+    # Missing directories alone would exit with EXIT_IO.
+    missing = str(tmp_path / "missing")
+    argv = ["evaluate", "--config", str(cfg), "--original", missing, "--stabilized", missing]
+    assert cli.run(argv) == cli.EXIT_VALIDATION
+    assert "translation_mode" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from synthstab.affine import AffineParams
+from synthstab.cli import load_config
 from synthstab.dataset import (
     FRAME_PATTERN,
     MANIFEST_KEYS,
@@ -26,7 +27,6 @@ from synthstab.dataset import (
     read_params_file,
     read_pgm,
     read_video_dir,
-    write_dataset,
     write_manifest,
     write_marks,
     write_params_file,
@@ -34,7 +34,7 @@ from synthstab.dataset import (
     write_video_dir,
 )
 from synthstab.errors import IoFailureError
-from synthstab.synthworld import MarkRecord
+from synthstab.synthworld import MARK_DTYPE
 
 # ---------------------------------------------------------------------------
 # PGM round trips
@@ -135,18 +135,16 @@ def test_params_line_errors():
 
 
 def test_marks_round_trip_sorted(tmp_path):
-    records = [
-        MarkRecord(uid=2, frame_id=1, x=4.5, y=-1.25),
-        MarkRecord(uid=1, frame_id=0, x=0.1, y=0.2),
-        MarkRecord(uid=1, frame_id=1, x=0.3, y=0.4),
-    ]
+    marks = np.array(
+        [(1, 2, 4.5, -1.25), (0, 1, 0.1, 0.2), (1, 1, 0.3, 0.4)], dtype=MARK_DTYPE
+    )
     path = str(tmp_path / "marks.txt")
-    write_marks(path, records)
+    write_marks(path, marks)
+    assert open(path).read() == "0 1 0.1 0.2\n1 1 0.3 0.4\n1 2 4.5 -1.25\n"
     back = read_marks(path)
-    assert [(r.frame_id, r.uid) for r in back] == [(0, 1), (1, 1), (1, 2)]
-    by_key = {(r.frame_id, r.uid): r for r in back}
-    assert by_key[(1, 2)].x == 4.5
-    assert by_key[(1, 2)].y == -1.25
+    assert back.dtype == MARK_DTYPE
+    assert back[["frame", "uid"]].tolist() == [(0, 1), (1, 1), (1, 2)]
+    assert back[2].tolist() == (1, 2, 4.5, -1.25)
 
 
 def test_marks_bad_line(tmp_path):
@@ -154,6 +152,29 @@ def test_marks_bad_line(tmp_path):
     atomic_write_text(path, "0 1 2.0\n")
     with pytest.raises(IoFailureError):
         read_marks(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1 2.0 3.0\n1 1 2.0 3.0\n0 1 4.0 5.0\n",  # (0, 1) twice
+        "0 1.5 2.0 3.0\n",  # non-integer uid
+        "x 1 2.0 3.0\n",  # non-integer frame
+        "0 99999999999999999999 2.0 3.0\n",  # uid beyond int64
+    ],
+)
+def test_marks_reject_repeated_or_non_integer_ids(tmp_path, text):
+    path = str(tmp_path / "marks.txt")
+    atomic_write_text(path, text)
+    with pytest.raises(IoFailureError):
+        read_marks(path)
+
+
+def test_empty_marks_file_reads_as_empty_array(tmp_path):
+    path = str(tmp_path / "marks.txt")
+    atomic_write_text(path, "")
+    back = read_marks(path)
+    assert back.dtype == MARK_DTYPE and back.shape == (0,)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -166,6 +187,27 @@ def test_manifest_round_trip(tmp_path):
     assert read_manifest(path) == values
     text = open(path).read()
     assert text.splitlines()[0] == "n_frames=12"
+
+
+@pytest.mark.parametrize("line", ["fps=abc", "n_frames=0", "n_frames=-2", "width=1.5"])
+def test_manifest_rejects_bad_values(tmp_path, line):
+    values = {k: "8" for k in MANIFEST_KEYS}
+    key, _, value = line.partition("=")
+    values[key] = value
+    path = str(tmp_path / "manifest.txt")
+    atomic_write_text(path, "".join(f"{k}={v}\n" for k, v in values.items()))
+    with pytest.raises(IoFailureError, match=key):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "reader", [read_params_file, read_marks, read_manifest, load_config]
+)
+def test_non_utf8_file_is_an_io_failure(tmp_path, reader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"n_frames=4\n\xff\n")
+    with pytest.raises(IoFailureError):
+        reader(str(path))
 
 
 def test_manifest_missing_key(tmp_path):
@@ -208,7 +250,7 @@ def make_video(rng: np.random.Generator, n_frames: int = 4) -> VideoData:
     frames = [
         rng.integers(0, 256, size=(24, 32)).astype(np.uint8) for _ in range(n_frames)
     ]
-    marks = [MarkRecord(uid=0, frame_id=i, x=1.0 * i, y=2.0 * i) for i in range(n_frames)]
+    marks = np.array([(i, 0, 1.0 * i, 2.0 * i) for i in range(n_frames)], dtype=MARK_DTYPE)
     gt = [AffineParams(0.5, -0.25, 0.01, 1.001) for _ in range(n_frames - 1)]
     return VideoData(
         video_id="video_0000", frames=frames, fps=24, seed=9, n_layers=1,
@@ -229,7 +271,7 @@ def test_video_dir_round_trip(tmp_path):
     assert len(back.frames) == 4
     for a, b in zip(video.frames, back.frames):
         np.testing.assert_array_equal(a, b)
-    assert len(back.marks) == 4
+    assert back.marks.tobytes() == video.marks.tobytes()
     assert len(back.gt) == 3
     assert back.gt[0].tx == 0.5
 
@@ -245,6 +287,21 @@ def test_video_dir_frame_naming(tmp_path):
         "frame_000000.pgm", "frame_000001.pgm", "frame_000002.pgm",
         "gt_affine.txt", "manifest.txt", "marks.txt",
     ]
+
+
+def test_video_dir_without_marks_or_gt(tmp_path):
+    rng = np.random.default_rng(31)
+    video = make_video(rng, n_frames=2)
+    video.marks = np.empty(0, MARK_DTYPE)
+    video.gt = []
+    directory = str(tmp_path / "v")
+    write_video_dir(directory, video)
+    assert sorted(os.listdir(directory)) == [
+        "frame_000000.pgm", "frame_000001.pgm", "manifest.txt",
+    ]
+    back = read_video_dir(directory)
+    assert back.marks.dtype == MARK_DTYPE and len(back.marks) == 0
+    assert back.gt == []
 
 
 def test_video_dir_gt_length_check(tmp_path):
@@ -264,11 +321,16 @@ def test_dataset_round_trip(tmp_path):
         v = make_video(rng)
         v.video_id = f"video_{i:04d}"
         videos.append(v)
-    root = str(tmp_path / "data")
-    manifest = write_dataset(root, videos)
-    assert manifest.video_ids == ["video_0000", "video_0001", "video_0002"]
-    dirs = list_video_dirs(root)
-    assert [os.path.basename(d) for d in dirs] == manifest.video_ids
+    root = tmp_path / "data"
+    for v in reversed(videos):
+        write_video_dir(str(root / v.video_id), v)
+    # Neither a directory without a manifest nor a file is a video.
+    (root / "notes").mkdir()
+    (root / "notes.txt").write_text("x", encoding="utf-8")
+    dirs = list_video_dirs(str(root))
+    assert [os.path.basename(d) for d in dirs] == ["video_0000", "video_0001", "video_0002"]
+    for d, v in zip(dirs, videos):
+        np.testing.assert_array_equal(read_video_dir(d).frames[2], v.frames[2])
     with pytest.raises(IoFailureError):
         list_video_dirs(str(tmp_path / "nowhere"))
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
-from synthstab.affine import wrap_angle
+from synthstab.affine import AffineParams, wrap_angle
 from synthstab.estimator import estimate_sequence
 from synthstab.generate import GenerateConfig, make_video
+from synthstab.synthworld import MARK_DTYPE
 
 
 @pytest.mark.parametrize("layers, style", [(1, "mixed"), (2, "random")])
@@ -27,3 +29,12 @@ def test_oracle_estimates_reproduce_ground_truth(layers, style):
         assert abs(got.ty - want.ty) <= 1e-9
         assert abs(wrap_angle(got.theta - want.theta)) <= 1e-9
         assert abs(got.s - want.s) <= 1e-9
+
+
+def test_oracle_without_marks_substitutes_identity_per_pair():
+    frames = [np.zeros((16, 16), dtype=np.uint8)] * 4
+    est, substituted = estimate_sequence(frames, "oracle", marks=np.empty(0, MARK_DTYPE))
+    assert est == [AffineParams.identity()] * 3
+    assert len(substituted) == 3
+    for i, msg in enumerate(substituted):
+        assert msg.startswith(f"pair {i}: ") and "shares only 0 tracked point(s)" in msg

@@ -12,7 +12,7 @@ from synthstab.generate import GenerateConfig, make_video, sample_random_pairs
 def _video_bytes(video):
     return (
         [f.tobytes() for f in video.frames],
-        video.marks,
+        video.marks.tobytes(),
         video.gt,
         (video.video_id, video.fps, video.seed, video.n_layers),
     )

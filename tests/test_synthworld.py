@@ -9,8 +9,9 @@ import pytest
 
 from synthstab.affine import apply_transform, params_to_matrix
 from synthstab.errors import InsufficientMarksError, InvalidSpecError
-from synthstab.estimator import OracleEstimator
+from synthstab.estimator import estimate_sequence
 from synthstab.synthworld import (
+    MARK_DTYPE,
     TEXTURE_STYLES,
     CameraPose,
     NoiseProfile,
@@ -19,7 +20,6 @@ from synthstab.synthworld import (
     build_scene,
     emit_mark_points,
     generate_camera_path,
-    marks_by_frame,
     pair_correspondences,
     pose_after_delta,
     pose_delta_params,
@@ -253,22 +253,27 @@ def make_marks(n_frames: int = 40, seed: int = 17):
 
 
 def test_marks_uid_contiguous_and_bounded_lifetime():
-    _, _, records = make_marks()
-    frames_of: dict[int, list[int]] = {}
-    for r in records:
-        frames_of.setdefault(r.uid, []).append(r.frame_id)
-    assert frames_of
-    for uid, frames in frames_of.items():
-        assert frames == list(range(frames[0], frames[0] + len(frames)))
+    _, _, marks = make_marks()
+    assert marks.dtype == MARK_DTYPE
+    assert len(marks)
+    for uid in np.unique(marks["uid"]):
+        frames = marks["frame"][marks["uid"] == uid]
+        np.testing.assert_array_equal(frames, np.arange(frames[0], frames[0] + len(frames)))
         assert len(frames) <= 24
 
 
+def test_marks_sorted_by_frame_then_uid():
+    _, _, marks = make_marks()
+    order = np.lexsort((marks["uid"], marks["frame"]))
+    np.testing.assert_array_equal(order, np.arange(len(marks)))
+    keys = marks[["frame", "uid"]]
+    assert not (keys[1:] == keys[:-1]).any()
+
+
 def test_marks_fresh_uids_each_sampling_period():
-    _, shaky, records = make_marks()
-    first_seen = {}
-    for r in records:
-        first_seen.setdefault(r.uid, r.frame_id)
-    birth_frames = set(first_seen.values())
+    _, shaky, marks = make_marks()
+    _, first = np.unique(marks["uid"], return_index=True)
+    birth_frames = set(marks["frame"][first].tolist())
     assert birth_frames <= {0, 12, 24, 36}
     assert 0 in birth_frames and 12 in birth_frames
 
@@ -276,24 +281,24 @@ def test_marks_fresh_uids_each_sampling_period():
 def test_marks_deterministic():
     _, _, a = make_marks()
     _, _, b = make_marks()
-    assert a == b
+    assert a.tobytes() == b.tobytes()
 
 
 def test_marks_stay_on_screen():
-    _, _, records = make_marks()
-    for r in records:
-        assert 0.0 <= r.x < 128.0
-        assert 0.0 <= r.y < 128.0
+    _, _, marks = make_marks()
+    assert ((marks["x"] >= 0.0) & (marks["x"] < 128.0)).all()
+    assert ((marks["y"] >= 0.0) & (marks["y"] < 128.0)).all()
 
 
 def test_ground_truth_matches_analytic_deltas():
     # Single-layer world: fitting marks must recover the projective
     # pose delta almost exactly.
     n_frames = 40
-    _, shaky, records = make_marks(n_frames=n_frames)
-    oracle = OracleEstimator(records)
-    for i in range(n_frames - 1):
-        p = oracle.estimate(i)
+    scene, shaky, marks = make_marks(n_frames=n_frames)
+    frames = render_video(scene, shaky)
+    est, substituted = estimate_sequence(frames, "oracle", marks=marks)
+    assert substituted == []
+    for i, p in enumerate(est):
         analytic = pose_delta_params(shaky[i], shaky[i + 1], 128, 128)
         assert p.tx == pytest.approx(analytic.tx, abs=1e-6)
         assert p.ty == pytest.approx(analytic.ty, abs=1e-6)
@@ -301,25 +306,45 @@ def test_ground_truth_matches_analytic_deltas():
         assert p.s == pytest.approx(analytic.s, abs=1e-6)
 
 
+def _marks(*rows):
+    return np.array(list(rows), dtype=MARK_DTYPE)
+
+
 def test_pair_correspondences_requires_shared_marks():
     with pytest.raises(InsufficientMarksError) as info:
-        pair_correspondences({0: {1: (0.0, 0.0)}, 1: {2: (1.0, 1.0)}}, 0)
+        pair_correspondences(_marks((0, 1, 0.0, 0.0), (1, 2, 1.0, 1.0)), 0)
     assert info.value.pair_index == 0
     assert info.value.n_shared == 0
 
 
 def test_pair_correspondences_returns_uid_ordered_arrays():
-    # Insertion order differs from uid order; uid 11 is only in frame 1.
-    table = {
-        0: {7: (1.0, 2.0), 3: (5.0, 6.0), 9: (0.5, 0.25)},
-        1: {9: (1.5, 1.25), 11: (0.0, 0.0), 3: (7.0, 8.0), 7: (3.0, 4.0)},
-    }
-    src, dst = pair_correspondences(table, 0)
+    # Rows within a frame are out of uid order; uid 11 is only in
+    # frame 1, and frames 2 and -1 must not leak into pair 0.
+    marks = _marks(
+        (-1, 3, 9.0, 9.0),
+        (0, 7, 1.0, 2.0), (0, 3, 5.0, 6.0), (0, 9, 0.5, 0.25),
+        (1, 9, 1.5, 1.25), (1, 11, 0.0, 0.0), (1, 3, 7.0, 8.0), (1, 7, 3.0, 4.0),
+        (2, 3, 9.0, 9.0),
+    )
+    src, dst = pair_correspondences(marks, 0)
     for arr in (src, dst):
         assert arr.dtype == np.float64
         assert arr.shape == (3, 2)
     np.testing.assert_array_equal(src, [[5.0, 6.0], [1.0, 2.0], [0.5, 0.25]])
     np.testing.assert_array_equal(dst, [[7.0, 8.0], [3.0, 4.0], [1.5, 1.25]])
+
+
+def test_pair_correspondences_match_a_uid_lookup():
+    # Loop reference: index each frame's marks by uid, match shared uids.
+    _, _, marks = make_marks()
+    table: dict[int, dict[int, tuple[float, float]]] = {}
+    for f, uid, x, y in marks.tolist():
+        table.setdefault(f, {})[uid] = (x, y)
+    for i in range(int(marks["frame"].max())):
+        shared = sorted(set(table[i]) & set(table[i + 1]))
+        src, dst = pair_correspondences(marks, i)
+        np.testing.assert_array_equal(src, [table[i][u] for u in shared])
+        np.testing.assert_array_equal(dst, [table[i + 1][u] for u in shared])
 
 
 def test_emit_mark_points_validation():
@@ -329,12 +354,3 @@ def test_emit_mark_points_validation():
         emit_mark_points(scene, [pose], k_points=0)
     with pytest.raises(InvalidSpecError):
         emit_mark_points(scene, [])
-
-
-def test_marks_by_frame_indexing():
-    _, _, records = make_marks(n_frames=15)
-    table = marks_by_frame(records)
-    count = sum(len(v) for v in table.values())
-    assert count == len(records)
-    r = records[0]
-    assert table[r.frame_id][r.uid] == (r.x, r.y)
