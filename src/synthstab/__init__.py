@@ -5,7 +5,7 @@ from .errors import SynthStabError
 from .estimator import TrainConfig, estimate_sequence, train
 from .generate import GenerateConfig, generate_dataset, sample_random_pairs
 from .metrics import MetricsConfig, MetricsReport, evaluate
-from .smoothing import Trajectory, smooth_trajectory
+from .smoothing import smooth_trajectory
 from .stabilizer import CropWindow, StabilizationResult, stabilize_video
 from .synthworld import CameraPose, NoiseProfile, SceneSpec, SmoothPathSpec
 
@@ -24,7 +24,6 @@ __all__ = [
     "StabilizationResult",
     "SynthStabError",
     "TrainConfig",
-    "Trajectory",
     "estimate_sequence",
     "evaluate",
     "fit_similarity",

@@ -221,7 +221,7 @@ def _write_stabilize_outputs(
     write_trajectory_csv(
         os.path.join(out_dir, "trajectory.csv"),
         result.raw_trajectory,
-        result.smoothing.smoothed,
+        result.smoothed_trajectory,
     )
     ds.write_params_file(
         os.path.join(out_dir, "applied_transforms.txt"), result.applied

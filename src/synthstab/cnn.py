@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import atomic_write_bytes
 from .errors import IoFailureError, ShapeMismatchError
 from .kernels import conv2d_backward, conv2d_forward, conv2d_weight_grads
 
@@ -212,8 +213,6 @@ class Adam:
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
     """Write named float64 tensors in insertion order (little-endian)."""
-    from .dataset import atomic_write_bytes
-
     chunks = [WEIGHTS_MAGIC]
     for name, arr in tensors.items():
         a = np.ascontiguousarray(arr, dtype="<f8")

@@ -448,6 +448,13 @@ def cropping_ratio(
 
 @dataclass
 class MetricsReport:
+    """Scores of one stabilized video against its source.
+
+    ``success`` is true exactly when the distortion score could be
+    computed (is not NaN): distortion is a singular-value ratio, never
+    above 1, and the frame counts are checked before scoring.
+    """
+
     stability_translation: float
     stability_rotation: float
     stability_avg: float
@@ -489,10 +496,13 @@ def evaluate(
     """Full metrics comparing a stabilized video against its source."""
     cfg = cfg or MetricsConfig()
     warnings: list[str] = []
-    frames_ok = len(stabilized) == len(original) and len(stabilized) >= 2
-    if not frames_ok:
+    if len(stabilized) != len(original) or len(stabilized) < 2:
         raise AllFramesFailedError(
             f"{len(stabilized)} stabilized frames for {len(original)} originals"
+        )
+    if len(applied) != len(stabilized):
+        raise FrameMismatchError(
+            f"{len(applied)} applied transforms for {len(stabilized)} frames"
         )
     s_tr, s_rot, s_avg, w = video_stability(stabilized, cfg)
     warnings.extend(f"stabilized: {msg}" for msg in w)
@@ -506,7 +516,6 @@ def evaluate(
         warnings.append(f"distortion failed: {exc}")
     h0, w0 = original[0].shape
     cropping = cropping_ratio(w0, h0, crop, applied)
-    success = frames_ok and distortion <= 1.0 + 1e-12
     return MetricsReport(
         stability_translation=s_tr,
         stability_rotation=s_rot,
@@ -516,7 +525,7 @@ def evaluate(
         original_stability_avg=o_avg,
         distortion=distortion,
         cropping=cropping,
-        success=success,
+        success=not math.isnan(distortion),
         warnings=warnings,
     )
 

@@ -1,65 +1,46 @@
 """Camera-trajectory smoothing.
 
-Per-pair motion parameters are accumulated into four cumulative series
-(tx, ty, theta, and scale in log-space).  Each series is smoothed by
-averaging its extrema envelopes and filtering the result with a
-Savitzky-Golay polynomial filter; subtracting the smoothed trajectory
-from the raw one yields the per-frame correction.
+Per-pair motion parameters are accumulated into one ``(4, n)`` float64
+array whose rows are the cumulative tx, ty, theta and log-scale (scale
+is summed in log-space so that composing scales maps to addition like
+the other parameters).  Each row is smoothed by averaging its extrema
+envelopes and filtering the result with a Savitzky-Golay polynomial
+filter; subtracting the smoothed trajectory from the raw one yields the
+per-frame correction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .affine import AffineParams, wrap_angle
-from .errors import BadWindowError, LengthMismatchError, SignalTooShortError
+from .dataset import atomic_write_text
+from .errors import BadWindowError, SignalTooShortError
 
 # Savitzky-Golay window (frames, odd) and polynomial degree.
 SMOOTHING_WINDOW = 51
 SMOOTHING_POLYORDER = 1
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Cumulative motion series, one entry per frame pair.
-
-    Scale is carried as a log-space sum so that composing scales maps
-    to addition like the other parameters; ``s`` exposes the
-    exponentiated values.
-    """
-
-    tx: np.ndarray
-    ty: np.ndarray
-    theta: np.ndarray
-    log_s: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.tx)
-        if not (len(self.ty) == len(self.theta) == len(self.log_s) == n):
-            raise LengthMismatchError("trajectory series differ in length")
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.exp(self.log_s)
-
-    def __len__(self) -> int:
-        return len(self.tx)
-
-
-def accumulate(params: list[AffineParams]) -> Trajectory:
-    """Cumulative sums of per-pair parameters (scale summed in log-space)."""
+def accumulate(params: list[AffineParams]) -> np.ndarray:
+    """Cumulative tx, ty, theta and log-scale of the per-pair parameters,
+    as the rows of a ``(4, len(params))`` array."""
     if len(params) == 0:
         raise SignalTooShortError("cannot accumulate an empty parameter list")
-    tx = np.cumsum([p.tx for p in params])
-    ty = np.cumsum([p.ty for p in params])
-    theta = np.cumsum([p.theta for p in params])
-    log_s = np.cumsum([math.log(p.s) for p in params])
-    return Trajectory(tx, ty, theta, log_s)
+    rows = np.array(
+        [
+            [p.tx for p in params],
+            [p.ty for p in params],
+            [p.theta for p in params],
+            [math.log(p.s) for p in params],
+        ],
+        dtype=np.float64,
+    )
+    return np.cumsum(rows, axis=1)
 
 
 def find_extrema(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +70,7 @@ def _interpolate_knots(signal: np.ndarray, knots: np.ndarray) -> np.ndarray:
     grid = np.arange(signal.size, dtype=np.float64)
     if knots.size >= 3:
         return make_interp_spline(xs, ys, k=2)(grid)
-    if knots.size == 2:
-        return np.interp(grid, xs, ys)
-    return np.full(signal.size, ys[0], dtype=np.float64)
+    return np.interp(grid, xs, ys)
 
 
 def envelope(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,13 +87,6 @@ def envelope(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(upper, lower), np.minimum(upper, lower)
 
 
-def _clamped_window(window: int, n: int) -> int:
-    w = min(window, n)
-    if w % 2 == 0:
-        w -= 1
-    return w
-
-
 @lru_cache(maxsize=256)
 def _fit_pinv(first: int, last: int, polyorder: int) -> np.ndarray:
     """Read-only pseudo-inverse of the polynomial design matrix over the
@@ -129,41 +101,34 @@ def _fit_pinv(first: int, last: int, polyorder: int) -> np.ndarray:
     return pinv
 
 
-def savitzky_golay(
-    signal: np.ndarray, window: int, polyorder: int, clamp: bool = True
-) -> np.ndarray:
+def savitzky_golay(signal: np.ndarray, window: int, polyorder: int) -> np.ndarray:
     """Least-squares polynomial smoothing over a sliding window.
 
-    Interior samples use the centered window; near the boundaries the
-    window is truncated to the available one-sided samples and refit,
-    with the polynomial degree lowered if the truncated window is too
-    short to determine it.  ``clamp`` shrinks ``window`` to the largest
-    valid odd value not exceeding the signal length.  Raises
-    :class:`BadWindowError` for an even window or one smaller than
-    ``polyorder + 1`` (after clamping).
+    ``window`` shrinks to the largest odd value not exceeding it or the
+    signal length.  Interior samples use the centered window; near the
+    boundaries the window is truncated to the available one-sided
+    samples and refit, with the polynomial degree lowered if the
+    truncated window is too short to determine it.  Raises
+    :class:`BadWindowError` when the shrunk window is smaller than
+    ``polyorder + 1``.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.size == 0:
+    n = x.size
+    if n == 0:
         raise SignalTooShortError("empty signal")
     if polyorder < 0:
         raise BadWindowError(f"polyorder must be >= 0, got {polyorder}")
-    w = _clamped_window(window, x.size) if clamp else window
+    w = min(window, n)
     if w % 2 == 0:
-        raise BadWindowError(f"window must be odd, got {w}")
+        w -= 1
     if w < polyorder + 1:
         raise BadWindowError(f"window {w} too small for polyorder {polyorder}")
-    if w > x.size:
-        raise BadWindowError(f"window {w} exceeds signal length {x.size}")
     half = w // 2
     out = np.empty_like(x)
-    n = x.size
-    if n >= w:
-        center_coeffs = _fit_pinv(-half, half, polyorder)[0]
-        windows = np.lib.stride_tricks.sliding_window_view(x, w)
-        out[half : n - half] = windows @ center_coeffs
-    for i in range(min(half, n)):
-        out[i] = _edge_fit(x, i, half, polyorder)
-    for i in range(max(n - half, min(half, n)), n):
+    center_coeffs = _fit_pinv(-half, half, polyorder)[0]
+    windows = np.lib.stride_tricks.sliding_window_view(x, w)
+    out[half : n - half] = windows @ center_coeffs
+    for i in (*range(half), *range(n - half, n)):
         out[i] = _edge_fit(x, i, half, polyorder)
     return out
 
@@ -176,81 +141,40 @@ def _edge_fit(x: np.ndarray, i: int, half: int, polyorder: int) -> float:
     return float(coeffs[0])
 
 
-@dataclass(frozen=True)
-class SmoothingResult:
-    """Output of :func:`smooth_trajectory`."""
-
-    smoothed: Trajectory
-    corrections: list[AffineParams]
-
-
 def smooth_trajectory(
-    traj: Trajectory,
+    raw: np.ndarray,
     window: int = SMOOTHING_WINDOW,
     polyorder: int = SMOOTHING_POLYORDER,
-) -> SmoothingResult:
-    """Smooth each trajectory series and derive per-frame corrections.
+) -> tuple[np.ndarray, list[AffineParams]]:
+    """Smooth each trajectory row and derive per-frame corrections.
 
-    Per series: average the extrema envelopes and Savitzky-Golay filter
-    the average.  ``corrections[i]`` is the similarity taking the raw
-    pose at pair ``i`` to the smoothed pose (the per-frame warp the
-    stabilizer applies).
+    ``raw`` is a ``(4, n)`` array from :func:`accumulate`.  Per row:
+    average the extrema envelopes and Savitzky-Golay filter the average;
+    a path of fewer than 3 pairs is too short for an envelope and is
+    left unsmoothed.  Returns the smoothed ``(4, n)`` array and
+    ``corrections``, where ``corrections[i]`` is the similarity taking
+    the raw pose at pair ``i`` to the smoothed pose (the per-frame warp
+    the stabilizer applies).
     """
-    series = {
-        "tx": traj.tx,
-        "ty": traj.ty,
-        "theta": traj.theta,
-        "log_s": traj.log_s,
-    }
-    smoothed_series = {}
-    for name, values in series.items():
-        if values.size < 3:
-            # Too short for an envelope; leave the series untouched.
-            smoothed_series[name] = values.copy()
-            continue
-        up, lo = envelope(values)
-        mean_env = (up + lo) / 2.0
-        smoothed_series[name] = savitzky_golay(mean_env, window, polyorder)
-    smoothed = Trajectory(
-        smoothed_series["tx"],
-        smoothed_series["ty"],
-        smoothed_series["theta"],
-        smoothed_series["log_s"],
-    )
+    smoothed = raw.copy()
+    if raw.shape[1] >= 3:
+        for row, values in zip(smoothed, raw):
+            up, lo = envelope(values)
+            row[:] = savitzky_golay((up + lo) / 2.0, window, polyorder)
     # Negated raw-minus-smoothed, not smoothed-minus-raw: the two differ
     # in the sign of zero.
     corrections = [
-        AffineParams(
-            -(traj.tx[i] - smoothed.tx[i]),
-            -(traj.ty[i] - smoothed.ty[i]),
-            wrap_angle(-(traj.theta[i] - smoothed.theta[i])),
-            math.exp(-(traj.log_s[i] - smoothed.log_s[i])),
-        )
-        for i in range(len(traj))
+        AffineParams(tx, ty, wrap_angle(theta), math.exp(log_s))
+        for tx, ty, theta, log_s in zip(*(-(raw - smoothed)).tolist())
     ]
-    return SmoothingResult(smoothed, corrections)
+    return smoothed, corrections
 
 
-def write_trajectory_csv(path, raw: Trajectory, smoothed: Trajectory) -> None:
-    """Dump raw and smoothed cumulative series side by side as CSV."""
-    if len(raw) != len(smoothed):
-        raise LengthMismatchError("raw and smoothed trajectories differ in length")
+def write_trajectory_csv(path, raw: np.ndarray, smoothed: np.ndarray) -> None:
+    """Dump raw and smoothed ``(4, n)`` trajectories side by side as CSV."""
     lines = [
         "frame,tx_hat,ty_hat,th_hat,logs_hat,tx_tilde,ty_tilde,th_tilde,logs_tilde"
     ]
-    for i in range(len(raw)):
-        cells = [
-            str(i),
-            repr(float(raw.tx[i])),
-            repr(float(raw.ty[i])),
-            repr(float(raw.theta[i])),
-            repr(float(raw.log_s[i])),
-            repr(float(smoothed.tx[i])),
-            repr(float(smoothed.ty[i])),
-            repr(float(smoothed.theta[i])),
-            repr(float(smoothed.log_s[i])),
-        ]
-        lines.append(",".join(cells))
-    from .dataset import atomic_write_text
-
+    for i, row in enumerate(np.vstack([raw, smoothed]).T.tolist()):
+        lines.append(",".join([str(i), *map(repr, row)]))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -18,8 +18,6 @@ from .kernels import affine_bilinear
 from .smoothing import (
     SMOOTHING_POLYORDER,
     SMOOTHING_WINDOW,
-    SmoothingResult,
-    Trajectory,
     accumulate,
     smooth_trajectory,
 )
@@ -88,14 +86,18 @@ def _warp(frame: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
 
 @dataclass
 class StabilizationResult:
-    """Everything the stabilize pipeline produced for one video."""
+    """Everything the stabilize pipeline produced for one video.
+
+    The trajectories are ``(4, len(frames) - 1)`` arrays whose rows are
+    the cumulative tx, ty, theta and log-scale of each frame pair.
+    """
 
     frames: list[np.ndarray]
     applied: list[AffineParams]
     valid_fractions: list[float]
     crop: CropWindow
-    raw_trajectory: Trajectory
-    smoothing: SmoothingResult
+    raw_trajectory: np.ndarray
+    smoothed_trajectory: np.ndarray
     warnings: list[str]
 
 
@@ -110,8 +112,9 @@ def stabilize_video(
 
     ``frames`` are uint8 grayscale.  Frame 0 is never warped: its output
     is its crop, with valid fraction 1.0.  Frame ``i`` (i >= 1) is
-    warped by the correction taking its accumulated raw pose to the
-    smoothed pose.  Valid fractions are measured inside the crop window.
+    warped by the correction taking column ``i - 1`` of the ``(4, n)``
+    raw trajectory to the smoothed one.  Valid fractions are measured
+    inside the crop window.
     """
     if len(frames) < 2:
         raise InvalidSpecError("need at least two frames to stabilize")
@@ -130,11 +133,11 @@ def stabilize_video(
                 f"frame {i} has shape {f.shape}, expected {(h, w)}"
             )
     raw = accumulate(estimates)
-    smoothing = smooth_trajectory(raw, window=window, polyorder=polyorder)
+    smoothed, corrections = smooth_trajectory(raw, window=window, polyorder=polyorder)
     crop = CropWindow.centered(w, h, crop_ratio)
 
     applied: list[AffineParams] = [AffineParams.identity()]
-    applied.extend(smoothing.corrections)
+    applied.extend(corrections)
 
     out_frames: list[np.ndarray] = [crop.apply(frames[0])]
     fractions: list[float] = [1.0]
@@ -156,6 +159,6 @@ def stabilize_video(
         valid_fractions=fractions,
         crop=crop,
         raw_trajectory=raw,
-        smoothing=smoothing,
+        smoothed_trajectory=smoothed,
         warnings=warnings,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from synthstab import cli
 from synthstab import dataset as ds
+from synthstab.affine import AffineParams, wrap_angle
 from synthstab.estimator import estimate_sequence
 from synthstab.generate import GenerateConfig, generate_dataset, video_seed
 from synthstab.metrics import evaluate, write_report
@@ -197,6 +199,35 @@ def test_round_trip_matches_the_library(tmp_path, capsys):
         got = (video_dir / "stabilized" / "report.txt").read_bytes()
         want_report = _library_report(tmp_path / "want.txt", *_stabilized(video_dir, "oracle"))
         assert got == want_report
+
+
+def test_trajectory_csv_matches_the_world_oracle(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("n_videos=1\nn_frames=20\nwidth=64\nheight=64\nn_layers=1\n", encoding="utf-8")
+    data = tmp_path / "data"
+    _run_ok(["generate", "--config", cfg, "--out", data], capsys)
+    video_dir = data / "video_000"
+    _run_ok(["stabilize", "--input", video_dir, "--backend", "oracle"], capsys)
+    stab = video_dir / "stabilized"
+    lines = (stab / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "frame,tx_hat,ty_hat,th_hat,logs_hat,tx_tilde,ty_tilde,th_tilde,logs_tilde"
+    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+    assert [row[0] for row in rows] == list(range(19))
+    table = np.array(rows)
+    hat, tilde = table[:, 1:5], table[:, 5:9]
+
+    # The raw path is the running sum of the world's per-pair motion.
+    gt = ds.read_params_file(str(video_dir / "gt_affine.txt"))
+    steps = np.diff(hat, axis=0, prepend=0.0)
+    want = np.array([[p.tx, p.ty, p.theta, math.log(p.s)] for p in gt])
+    np.testing.assert_allclose(steps, want, rtol=0.0, atol=1e-9)
+
+    # Frame i+1 is warped by the negated raw-minus-smoothed pose of pair i.
+    applied = ds.read_params_file(str(stab / "applied_transforms.txt"))
+    assert applied[0] == AffineParams.identity() and len(applied) == len(rows) + 1
+    for (tx, ty, th, log_s), (sx, sy, sth, slog_s), got in zip(hat, tilde, applied[1:]):
+        assert got.tx == -(tx - sx) and got.ty == -(ty - sy)
+        assert got.theta == wrap_angle(-(th - sth)) and got.s == math.exp(-(log_s - slog_s))
 
 
 def _set_manifest(video_dir, key, value):

@@ -10,7 +10,7 @@ from scipy.ndimage import gaussian_filter
 
 from synthstab import estimator, metrics, stabilizer
 from synthstab.affine import AffineParams
-from synthstab.errors import DegenerateError
+from synthstab.errors import DegenerateError, FrameMismatchError
 from synthstab.generate import GenerateConfig, make_video
 from synthstab.kernels import affine_bilinear, bilinear_sample
 
@@ -256,6 +256,13 @@ def test_cropping_ratio_equals_stabilizer_valid_fractions(layers, style, crop_ra
     # The full-frame window keeps warp fill, so its fractions fall below 1.
     assert (min(res.valid_fractions) < 1.0) == (crop_ratio == 1.0)
     assert abs(metrics.cropping_ratio(w, h, res.crop, res.applied) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("keep", [0, 5], ids=["empty", "short"])
+def test_wrong_number_of_transforms_is_a_frame_mismatch(keep):
+    clip, res = _oracle_stabilized(1, "mixed")
+    with pytest.raises(FrameMismatchError, match=f"{keep} applied transforms for 12 frames"):
+        metrics.evaluate(clip.frames, res.frames, res.applied[:keep], res.crop)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from synthstab.affine import AffineParams
-from synthstab.errors import BadWindowError, LengthMismatchError, SignalTooShortError
+from synthstab.errors import BadWindowError, SignalTooShortError
 from synthstab import smoothing
 from synthstab.smoothing import (
-    Trajectory,
     accumulate,
     envelope,
     find_extrema,
@@ -93,11 +92,12 @@ def test_sg_constant_preserved_any_order():
 def test_sg_rejects_bad_windows():
     x = np.zeros(100)
     with pytest.raises(BadWindowError):
-        savitzky_golay(x, 10, 1, clamp=False)
+        savitzky_golay(x, 3, 4)
     with pytest.raises(BadWindowError):
-        savitzky_golay(x, 3, 4, clamp=False)
+        # Shrinks to window 3, too short for a cubic.
+        savitzky_golay(np.zeros(4), 51, 3)
     with pytest.raises(BadWindowError):
-        savitzky_golay(x, 201, 1, clamp=False)
+        savitzky_golay(x, 0, 0)
     with pytest.raises(BadWindowError):
         savitzky_golay(x, 11, -1)
     with pytest.raises(SignalTooShortError):
@@ -105,11 +105,14 @@ def test_sg_rejects_bad_windows():
 
 
 def test_sg_clamp_shrinks_window():
+    # A window beyond the signal shrinks to its largest odd length, and
+    # an even window to the odd one below it.
     rng = np.random.default_rng(47)
     x = rng.normal(size=10)
-    got = savitzky_golay(x, 51, 1, clamp=True)
-    want = savitzky_golay(x, 9, 1, clamp=False)
-    np.testing.assert_array_equal(got, want)
+    want = savitzky_golay(x, 9, 1)
+    np.testing.assert_array_equal(savitzky_golay(x, 51, 1), want)
+    np.testing.assert_array_equal(savitzky_golay(x, 10, 1), want)
+    np.testing.assert_allclose(want, sg_oracle(x, 9, 1), atol=1e-9)
 
 
 def test_sg_smooths_noise_toward_trend():
@@ -211,31 +214,29 @@ def test_accumulate_cumsum_semantics():
         AffineParams(2.0, -1.0, -0.05, 0.5),
     ]
     traj = accumulate(params)
-    np.testing.assert_allclose(traj.tx, [1.0, 3.0])
-    np.testing.assert_allclose(traj.ty, [0.0, -1.0])
-    np.testing.assert_allclose(traj.theta, [0.1, 0.05])
-    np.testing.assert_allclose(traj.s, [2.0, 1.0])
+    assert traj.shape == (4, 2) and traj.dtype == np.float64
+    assert traj.flags.c_contiguous
+    tx, ty, theta, log_s = traj
+    np.testing.assert_allclose(tx, [1.0, 3.0])
+    np.testing.assert_allclose(ty, [0.0, -1.0])
+    np.testing.assert_allclose(theta, [0.1, 0.05])
+    np.testing.assert_allclose(np.exp(log_s), [2.0, 1.0])
 
 
 def test_accumulate_round_trip():
     rng = np.random.default_rng(61)
     params = random_param_list(rng, 50)
     traj = accumulate(params)
-    for name, series in (("tx", traj.tx), ("ty", traj.ty), ("theta", traj.theta)):
+    for name, series in zip(("tx", "ty", "theta"), traj):
         back = np.diff(series, prepend=0.0)
         np.testing.assert_allclose(back, [getattr(p, name) for p in params], rtol=0, atol=1e-12)
-    back_s = np.exp(np.diff(traj.log_s, prepend=0.0))
+    back_s = np.exp(np.diff(traj[3], prepend=0.0))
     np.testing.assert_allclose(back_s, [p.s for p in params], rtol=1e-12, atol=0)
 
 
 def test_accumulate_empty_rejected():
     with pytest.raises(SignalTooShortError):
         accumulate([])
-
-
-def test_trajectory_length_mismatch_rejected():
-    with pytest.raises(LengthMismatchError):
-        Trajectory(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +248,8 @@ def test_smooth_linear_trajectory_identity_corrections():
     # Constant per-pair motion accumulates to a line, which order-1
     # smoothing reproduces; corrections collapse to identity.
     params = [AffineParams(0.7, -0.4, 0.001, 1.0)] * 120
-    result = smooth_trajectory(accumulate(params), window=51, polyorder=1)
-    for c in result.corrections:
+    _, corrections = smooth_trajectory(accumulate(params), window=51, polyorder=1)
+    for c in corrections:
         assert abs(c.tx) < 0.1
         assert abs(c.ty) < 0.1
         assert abs(c.theta) < 1e-3
@@ -262,19 +263,19 @@ def test_smooth_reduces_jitter_variance():
         for j in rng.uniform(-2.0, 2.0, size=200)
     ]
     traj = accumulate(params)
-    result = smooth_trajectory(traj, window=51, polyorder=1)
-    raw_jitter = np.diff(traj.tx, n=2)
-    smooth_jitter = np.diff(result.smoothed.tx, n=2)
+    smoothed, _ = smooth_trajectory(traj, window=51, polyorder=1)
+    raw_jitter = np.diff(traj[0], n=2)
+    smooth_jitter = np.diff(smoothed[0], n=2)
     assert np.abs(smooth_jitter).mean() < np.abs(raw_jitter).mean() / 4.0
 
 
 def test_smooth_short_series_untouched():
     params = [AffineParams(1.0, 2.0, 0.01, 1.01), AffineParams(-1.0, 0.5, -0.01, 0.99)]
-    result = smooth_trajectory(accumulate(params))
     raw = accumulate(params)
-    np.testing.assert_array_equal(result.smoothed.tx, raw.tx)
-    np.testing.assert_array_equal(result.smoothed.log_s, raw.log_s)
-    for c in result.corrections:
+    smoothed, corrections = smooth_trajectory(raw)
+    np.testing.assert_array_equal(smoothed, raw)
+    assert smoothed is not raw
+    for c in corrections:
         assert c.tx == 0.0 and c.ty == 0.0 and c.theta == 0.0 and c.s == 1.0
 
 
@@ -284,10 +285,12 @@ def test_smooth_corrections_negate_trajectory_difference():
     rng = np.random.default_rng(71)
     params = random_param_list(rng, 80)
     traj = accumulate(params)
-    result = smooth_trajectory(traj, window=21, polyorder=1)
-    for i, corr in enumerate(result.corrections):
-        delta_tx = traj.tx[i] - result.smoothed.tx[i]
-        delta_th = traj.theta[i] - result.smoothed.theta[i]
+    smoothed, corrections = smooth_trajectory(traj, window=21, polyorder=1)
+    assert smoothed.shape == traj.shape and smoothed.flags.c_contiguous
+    assert len(corrections) == traj.shape[1]
+    for i, corr in enumerate(corrections):
+        delta_tx = traj[0, i] - smoothed[0, i]
+        delta_th = traj[2, i] - smoothed[2, i]
         assert corr.tx == pytest.approx(-delta_tx, abs=1e-12)
         assert corr.theta == pytest.approx(-delta_th, abs=1e-12)
 
@@ -301,22 +304,14 @@ def test_write_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(73)
     params = random_param_list(rng, 30)
     traj = accumulate(params)
-    result = smooth_trajectory(traj, window=11, polyorder=1)
+    smoothed, _ = smooth_trajectory(traj, window=11, polyorder=1)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, traj, result.smoothed)
+    write_trajectory_csv(path, traj, smoothed)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == (
         "frame,tx_hat,ty_hat,th_hat,logs_hat,tx_tilde,ty_tilde,th_tilde,logs_tilde"
     )
     assert len(lines) == 31
-    cells = lines[5].split(",")
-    assert int(cells[0]) == 4
-    assert float(cells[1]) == traj.tx[4]
-    assert float(cells[8]) == result.smoothed.log_s[4]
-
-
-def test_write_trajectory_csv_length_mismatch(tmp_path):
-    t1 = Trajectory(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    t2 = Trajectory(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4))
-    with pytest.raises(LengthMismatchError):
-        write_trajectory_csv(tmp_path / "t.csv", t1, t2)
+    table = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    np.testing.assert_array_equal(table[:, 0], np.arange(30))
+    np.testing.assert_array_equal(table[:, 1:].T, np.vstack([traj, smoothed]))
