@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError
+from .errors import MeasurementError
 
 # Tolerance below which a point cloud is treated as a single point.
 _SPREAD_EPS = 1e-12
@@ -91,7 +91,7 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray) -> AffineParams:
     Solves the linear system in (a, b, tx, ty) with the 2x2 block
     [[a, -b], [b, a]], after centering both point clouds on their
     centroids; with two or more distinct source points the solution is
-    unique.  Raises :class:`DegenerateConfigurationError` when the
+    unique.  Raises :class:`MeasurementError` when the
     arrays are not both ``(n, 2)`` with the same ``n``, when fewer than
     two pairs are given or the source points coincide, and when the
     optimum collapses to zero scale.
@@ -100,24 +100,24 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray) -> AffineParams:
     src = np.ascontiguousarray(src, dtype=np.float64)
     dst = np.ascontiguousarray(dst, dtype=np.float64)
     if src.ndim != 2 or src.shape[1] != 2 or dst.shape != src.shape:
-        raise DegenerateConfigurationError(
+        raise MeasurementError(
             f"need two (n, 2) point arrays, got shapes {src.shape} and {dst.shape}"
         )
     n = src.shape[0]
     if n < 2:
-        raise DegenerateConfigurationError(f"need >= 2 correspondences, got {n}")
+        raise MeasurementError(f"need >= 2 correspondences, got {n}")
     src_c = src.mean(axis=0)
     dst_c = dst.mean(axis=0)
     sx, sy = (src - src_c).T
     dx, dy = (dst - dst_c).T
     denom = float(np.dot(sx, sx) + np.dot(sy, sy))
     if denom <= _SPREAD_EPS:
-        raise DegenerateConfigurationError("source points coincide")
+        raise MeasurementError("source points coincide")
     a = float(np.dot(sx, dx) + np.dot(sy, dy)) / denom
     b = float(np.dot(sx, dy) - np.dot(sy, dx)) / denom
     s = math.hypot(a, b)
     if s <= _SPREAD_EPS:
-        raise DegenerateConfigurationError("fit collapsed to zero scale")
+        raise MeasurementError("fit collapsed to zero scale")
     theta = math.atan2(b, a)
     if theta <= -math.pi:
         theta = math.pi

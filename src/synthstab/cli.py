@@ -3,14 +3,17 @@
 Subcommands: ``generate`` (synthetic shaky videos), ``train`` (the two
 learned regressors), ``stabilize`` (one video directory), ``evaluate``
 (one stabilized video or a whole dataset).  Option precedence is
-command line, then config file, then the library's defaults.  Exit codes:
-0 success, 2 validation, 3 training, 4 file I/O, 5 evaluation.
+command line, then config file, then the library's defaults.  Exit codes
+come from the error classes (see ``errors``): 0 success, 2 validation
+(``InvalidSpecError``), 3 training (``NonFiniteLossError``), 4 file I/O
+(``IoFailureError``), 5 evaluation (``MeasurementError``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -19,13 +22,10 @@ import numpy as np
 from . import dataset as ds
 from .affine import AffineParams
 from .errors import (
-    AllFramesFailedError,
-    DegenerateError,
-    FrameMismatchError,
     InvalidSpecError,
     IoFailureError,
+    MeasurementError,
     NonFiniteLossError,
-    SeriesTooShortError,
     SynthStabError,
 )
 from .estimator import LearnedEstimator, TrainConfig, estimate_sequence, save_weights, train
@@ -43,18 +43,10 @@ from .stabilizer import CROP_RATIO, CropWindow, StabilizationResult, stabilize_v
 from .synthworld import TEXTURE_STYLES
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_TRAINING = 3
-EXIT_IO = 4
-EXIT_EVALUATION = 5
-
-# Failures of one evaluation: exit 5, or a NaN row in a batch.
-EVALUATION_ERRORS = (
-    AllFramesFailedError,
-    SeriesTooShortError,
-    DegenerateError,
-    FrameMismatchError,
-)
+EXIT_VALIDATION = InvalidSpecError.exit_code
+EXIT_TRAINING = NonFiniteLossError.exit_code
+EXIT_IO = IoFailureError.exit_code
+EXIT_EVALUATION = MeasurementError.exit_code
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -213,7 +205,6 @@ def _write_stabilize_outputs(
     video: ds.VideoData,
     result: StabilizationResult,
     backend: str,
-    window: int,
     polyorder: int,
     crop_ratio: float,
     est_warnings: list[str],
@@ -235,7 +226,7 @@ def _write_stabilize_outputs(
     fractions = result.valid_fractions
     lines = [
         f"backend: {backend}",
-        f"window: {window}",
+        f"window: {result.window}",
         f"polyorder: {polyorder}",
         f"crop_ratio: {float(crop_ratio)!r}",
         f"crop_x0: {result.crop.x0}",
@@ -291,7 +282,7 @@ def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
         crop_ratio=crop,
     )
     _write_stabilize_outputs(
-        out_dir, video, result, backend, window, polyorder, crop, est_warnings
+        out_dir, video, result, backend, polyorder, crop, est_warnings
     )
     for msg in est_warnings:
         print(f"warning: {msg}", file=sys.stderr)
@@ -345,24 +336,14 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
                 continue
             try:
                 report = _evaluate_one(video_dir, stab_dir, cfg)
-            except EVALUATION_ERRORS as exc:
+            except MeasurementError as exc:
+                # One failed video is a NaN row, not a failed batch.
                 print(f"warning: {video_id} failed: {exc}", file=sys.stderr)
-                report = MetricsReport(
-                    stability_translation=float("nan"),
-                    stability_rotation=float("nan"),
-                    stability_avg=float("nan"),
-                    original_stability_translation=float("nan"),
-                    original_stability_rotation=float("nan"),
-                    original_stability_avg=float("nan"),
-                    distortion=float("nan"),
-                    cropping=float("nan"),
-                    success=False,
-                    warnings=[str(exc)],
-                )
+                report = MetricsReport(*[math.nan] * 8, success=False, warnings=[str(exc)])
             write_report(os.path.join(stab_dir, "report.txt"), report)
             entries.append((video_id, report))
         if not entries:
-            raise AllFramesFailedError(f"no evaluable videos under {root}")
+            raise MeasurementError(f"no evaluable videos under {root}")
         summary_path = args.summary or os.path.join(root, "batch_summary.csv")
         ds.atomic_write_text(summary_path, batch_summary_rows(entries))
         n_ok = sum(1 for _, r in entries if r.success)
@@ -515,21 +496,9 @@ def run(argv: list[str] | None = None) -> int:
             raise InvalidSpecError(f"{args.command} takes no --seed")
         config = load_config(args.config)
         return args.func(args, config)
-    except InvalidSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NonFiniteLossError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except IoFailureError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except EVALUATION_ERRORS as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
     except SynthStabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def main() -> None:

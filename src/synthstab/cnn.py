@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import atomic_write_bytes
-from .errors import IoFailureError, ShapeMismatchError
+from .errors import IoFailureError, InvalidSpecError
 from .kernels import conv2d_backward, conv2d_forward, conv2d_weight_grads
 
 WEIGHTS_MAGIC = b"STBW1"
@@ -33,14 +33,14 @@ class NetworkShape:
 
     def __post_init__(self) -> None:
         if self.in_channels < 1 or self.out_dim < 1:
-            raise ShapeMismatchError("channel and output counts must be positive")
+            raise InvalidSpecError("channel and output counts must be positive")
         if self.input_side < 2 ** len(self.conv_widths):
-            raise ShapeMismatchError(
+            raise InvalidSpecError(
                 f"input side {self.input_side} too small for "
                 f"{len(self.conv_widths)} stride-2 layers"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ShapeMismatchError("dropout_rate must lie in [0, 1)")
+            raise InvalidSpecError("dropout_rate must lie in [0, 1)")
 
 
 class ConvRegressor:
@@ -74,7 +74,7 @@ class ConvRegressor:
         x = np.asarray(x, dtype=np.float64)
         s = self.shape
         if x.ndim != 4 or x.shape[1:] != (s.in_channels, s.input_side, s.input_side):
-            raise ShapeMismatchError(
+            raise InvalidSpecError(
                 f"expected (N, {s.in_channels}, {s.input_side}, {s.input_side}), "
                 f"got {x.shape}"
             )
@@ -157,7 +157,7 @@ class ConvRegressor:
         y, cache = self.forward(x, dropout_mask=dropout_mask)
         t = np.asarray(targets, dtype=np.float64)
         if t.shape != y.shape:
-            raise ShapeMismatchError(f"targets {t.shape} vs outputs {y.shape}")
+            raise InvalidSpecError(f"targets {t.shape} vs outputs {y.shape}")
         diff = y - t
         loss = float(np.mean(diff * diff))
         dy = 2.0 * diff / diff.size

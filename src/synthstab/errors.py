@@ -1,43 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per exit code.
+
+Each class carries the exit code the CLI returns for it and the prefix
+of the message it prints on stderr, so ``cli.run`` handles every
+package failure with one ``except`` clause.
+"""
 
 
 class SynthStabError(Exception):
     """Base class for all package-specific errors."""
 
-
-class DegenerateConfigurationError(SynthStabError):
-    """Point configuration does not determine a similarity."""
+    exit_code = 2
+    prefix = "error"
 
 
 class InvalidSpecError(SynthStabError):
-    """Scene or noise specification violates its constraints."""
-
-
-class IoFailureError(SynthStabError):
-    """File could not be read, parsed, or written."""
-
-
-class InsufficientMarksError(SynthStabError):
-    """A frame pair shares fewer than two tracked points."""
-
-    def __init__(self, pair_index: int, n_shared: int):
-        self.pair_index = pair_index
-        self.n_shared = n_shared
-        super().__init__(
-            f"pair {pair_index} shares only {n_shared} tracked point(s); need >= 2"
-        )
-
-
-class FrameMismatchError(SynthStabError):
-    """Frames have incompatible shapes or dtypes."""
-
-
-class DegenerateFlowError(SynthStabError):
-    """Too few trackable flow cells to fit a motion model."""
+    """An option, setting or argument violates its constraints."""
 
 
 class NonFiniteLossError(SynthStabError):
     """Training loss became NaN or infinite."""
+
+    exit_code = 3
+    prefix = "training error"
 
     def __init__(self, network: str, epoch: int, batch_index: int):
         self.network = network
@@ -48,37 +32,15 @@ class NonFiniteLossError(SynthStabError):
         )
 
 
-class NonFiniteEstimateError(SynthStabError):
-    """A backend produced a NaN or infinite motion estimate."""
+class IoFailureError(SynthStabError):
+    """File could not be read, parsed, or written."""
+
+    exit_code = 4
+    prefix = "io error"
 
 
-class ShapeMismatchError(SynthStabError):
-    """Tensor shape does not match the expected model geometry."""
+class MeasurementError(SynthStabError):
+    """Frames or correspondences do not support a measurement."""
 
-
-class SignalTooShortError(SynthStabError):
-    """Signal has too few samples for the requested operation."""
-
-
-class BadWindowError(SynthStabError):
-    """Smoothing window is even, too small, or exceeds the signal."""
-
-
-class SingularTransformError(SynthStabError):
-    """Transform cannot be inverted for warping."""
-
-
-class LengthMismatchError(SynthStabError):
-    """Parallel sequences disagree in length."""
-
-
-class DegenerateError(SynthStabError):
-    """Correspondences do not determine a homography."""
-
-
-class SeriesTooShortError(SynthStabError):
-    """Motion series is too short for spectral scoring."""
-
-
-class AllFramesFailedError(SynthStabError):
-    """No frame produced a usable measurement."""
+    exit_code = 5
+    prefix = "evaluation error"

@@ -17,13 +17,10 @@ from .affine import AffineParams, apply_transform, fit_similarity, params_to_mat
 from .cnn import Adam, ConvRegressor, NetworkShape, load_tensors, save_tensors
 from .dataset import atomic_write_text
 from .errors import (
-    DegenerateFlowError,
-    FrameMismatchError,
     InvalidSpecError,
     IoFailureError,
-    NonFiniteEstimateError,
+    MeasurementError,
     NonFiniteLossError,
-    ShapeMismatchError,
     SynthStabError,
 )
 from .flow import FlowField, compute_flow, flow_to_dense, stack_frames
@@ -46,7 +43,7 @@ def robust_fit_flow(flow: FlowField) -> AffineParams:
     """Similarity fit of valid flow cells with median-residual trimming."""
     mask = flow.valid.ravel()
     if int(mask.sum()) < MIN_FLOW_CELLS:
-        raise DegenerateFlowError(
+        raise MeasurementError(
             f"only {int(mask.sum())} trustworthy flow cells, need {MIN_FLOW_CELLS}"
         )
     centers = flow.block_centers()[mask]
@@ -153,7 +150,7 @@ def preprocess_pair(
     fa = np.asarray(frame_a)
     fb = np.asarray(frame_b)
     if fa.shape != fb.shape or fa.ndim != 2:
-        raise ShapeMismatchError(f"bad frame pair shapes {fa.shape} vs {fb.shape}")
+        raise MeasurementError(f"bad frame pair shapes {fa.shape} vs {fb.shape}")
     h, w = fa.shape
     m, r = _resize_matrix(h, w, input_side)
     ga, _ = affine_bilinear(fa.astype(np.float64) / 255.0, m, input_side, input_side)
@@ -328,7 +325,7 @@ class LearnedEstimator:
         out_tr = self.nets["tr"].predict(batch)[0] * std_tr + mean_tr
         out_rs = self.nets["rs"].predict(batch)[0] * std_rs + mean_rs
         if not (np.isfinite(out_tr).all() and np.isfinite(out_rs).all()):
-            raise NonFiniteEstimateError(
+            raise MeasurementError(
                 f"learned network output is not finite: {out_tr.tolist()}, {out_rs.tolist()}"
             )
         s = max(float(out_rs[1]), MIN_PREDICTED_SCALE)
@@ -376,7 +373,7 @@ def estimate_sequence(
     elif backend == "blockmatch":
         try:
             flows = _clip_flow(frames)
-        except FrameMismatchError as exc:
+        except MeasurementError as exc:
             # The frames of the clip, not one pair, fail the check, so
             # every pair fails with it.
             failure = exc
@@ -398,7 +395,7 @@ def estimate_sequence(
         if learned.use_flow:
             try:
                 flows = _clip_flow(frames)
-            except FrameMismatchError:
+            except MeasurementError:
                 # Each pair then computes its own flow, and fails, or
                 # not, on its own.
                 pass

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FrameMismatchError, InvalidSpecError
+from .errors import InvalidSpecError, MeasurementError
 from .kernels import INVALID_SAD, sad_volume
 
 TEXTURE_MIN_RANGE = 8
@@ -80,7 +80,7 @@ def stack_frames(frames: list[np.ndarray]) -> np.ndarray:
     """``(P, h, w)`` stack of 2-D frames that share one shape."""
     shapes = sorted({np.shape(f) for f in frames})
     if len(shapes) != 1 or len(shapes[0]) != 2:
-        raise FrameMismatchError(f"frames must share one 2D shape, got {shapes}")
+        raise MeasurementError(f"frames must share one 2D shape, got {shapes}")
     return np.stack(frames)
 
 
@@ -260,11 +260,11 @@ def compute_flow(
     fa = np.asarray(frame_a)
     fb = np.asarray(frame_b)
     if fa.ndim not in (2, 3) or fb.ndim not in (2, 3):
-        raise FrameMismatchError(
+        raise MeasurementError(
             "flow inputs must be 2D grayscale frames or (pairs, h, w) stacks"
         )
     if fa.shape != fb.shape:
-        raise FrameMismatchError(
+        raise MeasurementError(
             f"frame shapes differ: {fa.shape} vs {fb.shape}"
         )
     if block_size < 4:
@@ -274,11 +274,11 @@ def compute_flow(
     if levels < 1:
         raise InvalidSpecError("levels must be at least 1")
     if min(fa.shape[-2:]) < block_size:
-        raise FrameMismatchError(
+        raise MeasurementError(
             f"frames of shape {fa.shape[-2:]} are smaller than one {block_size}px block"
         )
     if fa.ndim == 3 and len(fa) == 0:
-        raise FrameMismatchError("flow input stacks hold no frame pair")
+        raise MeasurementError("flow input stacks hold no frame pair")
     pyr_a, sizes = _build_pyramid(fa.reshape(-1, *fa.shape[-2:]), levels, block_size)
     pyr_b, _ = _build_pyramid(fb.reshape(-1, *fb.shape[-2:]), levels, block_size)
     p = pyr_a[0].shape[0]

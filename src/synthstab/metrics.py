@@ -9,19 +9,13 @@ ratio measures how much of the original picture survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .affine import AffineParams, invert, params_to_matrix
 from .dataset import atomic_write_text
-from .errors import (
-    AllFramesFailedError,
-    DegenerateError,
-    FrameMismatchError,
-    InvalidSpecError,
-    SeriesTooShortError,
-)
+from .errors import InvalidSpecError, MeasurementError
 from .flow import FlowField, compute_flow, stack_frames
 from .kernels import affine_bilinear, bilinear_sample
 from .stabilizer import CropWindow
@@ -64,10 +58,10 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise DegenerateError(f"bad correspondence shapes {src.shape} vs {dst.shape}")
+        raise MeasurementError(f"bad correspondence shapes {src.shape} vs {dst.shape}")
     n = src.shape[0]
     if n < 4:
-        raise DegenerateError(f"homography needs at least 4 points, got {n}")
+        raise MeasurementError(f"homography needs at least 4 points, got {n}")
     t_src = _normalization(src)
     t_dst = _normalization(dst)
     ones = np.ones((n, 1))
@@ -90,11 +84,11 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     a[1::2, 8] = -u
     _, sigma, vt = np.linalg.svd(a, full_matrices=False)
     if sigma[7] / max(sigma[0], 1e-300) < RANK_RATIO_MIN:
-        raise DegenerateError("correspondences do not determine a homography")
+        raise MeasurementError("correspondences do not determine a homography")
     h_norm = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_dst) @ h_norm @ t_src
     if abs(h[2, 2]) < 1e-12:
-        raise DegenerateError("homography has a vanishing scale entry")
+        raise MeasurementError("homography has a vanishing scale entry")
     return h / h[2, 2]
 
 
@@ -102,7 +96,7 @@ def _flow_correspondences(flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
     """Block centres and their matches over the valid cells of one pair."""
     mask = flow.valid.ravel()
     if int(mask.sum()) < 4:
-        raise DegenerateError(
+        raise MeasurementError(
             f"only {int(mask.sum())} trackable cells between frames"
         )
     centers = flow.block_centers()[mask]
@@ -178,7 +172,7 @@ def _refine_correspondences(
     keep = alive & (np.abs(u - u0) <= 1.5) & (np.abs(v - v0) <= 1.5)
     n_kept = int(keep.sum())
     if n_kept < 4:
-        raise DegenerateError(f"only {n_kept} cells survive photometric refinement")
+        raise MeasurementError(f"only {n_kept} cells survive photometric refinement")
     kept_src = src[keep]
     kept_dst = kept_src + np.stack([u[keep], v[keep]], axis=1)
     return kept_src, kept_dst
@@ -240,7 +234,7 @@ def stability_score(series: np.ndarray) -> float:
     x = np.asarray(series, dtype=np.float64)
     n = x.size
     if n < MIN_SERIES_LENGTH:
-        raise SeriesTooShortError(
+        raise MeasurementError(
             f"stability needs at least {MIN_SERIES_LENGTH} samples, got {n}"
         )
     spectrum = np.fft.rfft(x)
@@ -280,7 +274,7 @@ def pair_motion_series(
     Pairs that cannot be tracked contribute zero motion and a warning.
     """
     if len(frames) < 2:
-        raise SeriesTooShortError("need at least two frames for a motion series")
+        raise MeasurementError("need at least two frames for a motion series")
 
     n_pairs = len(frames) - 1
 
@@ -290,7 +284,7 @@ def pair_motion_series(
     try:
         stack = stack_frames(frames)
         flows = compute_flow(stack[:-1], stack[1:], block_size=block_size)
-    except FrameMismatchError as exc:
+    except MeasurementError as exc:
         # A check on the frames, not on one pair, failed.
         results = [untrackable(i, exc) for i in range(n_pairs)]
     else:
@@ -298,7 +292,7 @@ def pair_motion_series(
         for i in range(n_pairs):
             try:
                 h = estimate_homography(*_flow_correspondences(flows.pair(i)))
-            except DegenerateError as exc:
+            except MeasurementError as exc:
                 results.append(untrackable(i, exc))
             else:
                 results.append(((h[0, 2], h[1, 2], math.atan2(h[1, 0], h[0, 0])), None))
@@ -327,7 +321,7 @@ def video_stability(
 def _center_crop(frame: np.ndarray, height: int, width: int) -> np.ndarray:
     h, w = frame.shape
     if h < height or w < width:
-        raise FrameMismatchError(
+        raise MeasurementError(
             f"original frame {frame.shape} smaller than stabilized {(height, width)}"
         )
     y0 = (h - height) // 2
@@ -343,7 +337,7 @@ def _distortion_ratio(cropped: np.ndarray, stab: np.ndarray, flow: FlowField) ->
     resid = np.hypot(*(apply_homography(hom, src) - dst).T)
     med_resid = float(np.nanmedian(resid))
     if not med_resid < MAX_FIT_RESIDUAL:
-        raise DegenerateError(f"no coherent map (median residual {med_resid:.2f} px)")
+        raise MeasurementError(f"no coherent map (median residual {med_resid:.2f} px)")
     sigma = np.linalg.svd(hom[:2, :2], compute_uv=False)
     return float(sigma[1] / max(sigma[0], 1e-300))
 
@@ -362,7 +356,7 @@ def distortion_score(
     no anisotropic distortion anywhere.
     """
     if len(original) != len(stabilized):
-        raise FrameMismatchError(
+        raise MeasurementError(
             f"{len(original)} original vs {len(stabilized)} stabilized frames"
         )
 
@@ -376,7 +370,7 @@ def distortion_score(
     for i, stab in enumerate(stabilized):
         try:
             cropped = _center_crop(original[i], *stab.shape)
-        except FrameMismatchError as exc:
+        except MeasurementError as exc:
             results[i] = skipped(i, exc)
             continue
         # A frame the stabilizer left unwarped (frame 0, always) is its
@@ -400,18 +394,18 @@ def distortion_score(
                 block_size=DISTORTION_BLOCK_SIZE,
                 max_sad_per_pixel=120.0,
             )
-        except FrameMismatchError as exc:
+        except MeasurementError as exc:
             for i in warped:
                 results[i] = skipped(i, exc)
         else:
             for p, i in enumerate(warped):
                 try:
                     results[i] = (_distortion_ratio(crops[p], stabs[p], flows.pair(p)), None)
-                except DegenerateError as exc:
+                except MeasurementError as exc:
                     results[i] = skipped(i, exc)
     ratios = [r for r, _ in results if r is not None]
     if not ratios:
-        raise AllFramesFailedError(
+        raise MeasurementError(
             "no frame pair supported a distortion estimate"
         )
     return min(ratios), [w for _, w in results if w is not None]
@@ -467,22 +461,15 @@ class MetricsReport:
     warnings: list[str] = field(default_factory=list)
 
     def rows(self) -> list[tuple[str, str]]:
+        """(name, text) of every field but ``warnings``, in field order."""
+
+        def text(value) -> str:
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return repr(float(value))
+
         return [
-            ("stability_translation", repr(float(self.stability_translation))),
-            ("stability_rotation", repr(float(self.stability_rotation))),
-            ("stability_avg", repr(float(self.stability_avg))),
-            (
-                "original_stability_translation",
-                repr(float(self.original_stability_translation)),
-            ),
-            (
-                "original_stability_rotation",
-                repr(float(self.original_stability_rotation)),
-            ),
-            ("original_stability_avg", repr(float(self.original_stability_avg))),
-            ("distortion", repr(float(self.distortion))),
-            ("cropping", repr(float(self.cropping))),
-            ("success", "true" if self.success else "false"),
+            (f.name, text(getattr(self, f.name))) for f in fields(self) if f.name != "warnings"
         ]
 
 
@@ -497,11 +484,11 @@ def evaluate(
     cfg = cfg or MetricsConfig()
     warnings: list[str] = []
     if len(stabilized) != len(original) or len(stabilized) < 2:
-        raise AllFramesFailedError(
+        raise MeasurementError(
             f"{len(stabilized)} stabilized frames for {len(original)} originals"
         )
     if len(applied) != len(stabilized):
-        raise FrameMismatchError(
+        raise MeasurementError(
             f"{len(applied)} applied transforms for {len(stabilized)} frames"
         )
     s_tr, s_rot, s_avg, w = video_stability(stabilized, cfg)
@@ -511,7 +498,7 @@ def evaluate(
     try:
         distortion, w = distortion_score(original, stabilized)
         warnings.extend(w)
-    except (AllFramesFailedError, FrameMismatchError) as exc:
+    except MeasurementError as exc:
         distortion = float("nan")
         warnings.append(f"distortion failed: {exc}")
     h0, w0 = original[0].shape

@@ -19,7 +19,7 @@ from scipy.interpolate import make_interp_spline
 
 from .affine import AffineParams, wrap_angle
 from .dataset import atomic_write_text
-from .errors import BadWindowError, SignalTooShortError
+from .errors import InvalidSpecError
 
 # Savitzky-Golay window (frames, odd) and polynomial degree.
 SMOOTHING_WINDOW = 51
@@ -30,7 +30,7 @@ def accumulate(params: list[AffineParams]) -> np.ndarray:
     """Cumulative tx, ty, theta and log-scale of the per-pair parameters,
     as the rows of a ``(4, len(params))`` array."""
     if len(params) == 0:
-        raise SignalTooShortError("cannot accumulate an empty parameter list")
+        raise InvalidSpecError("cannot accumulate an empty parameter list")
     rows = np.array(
         [
             [p.tx for p in params],
@@ -53,7 +53,7 @@ def find_extrema(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(signal, dtype=np.float64)
     n = x.size
     if n < 3:
-        raise SignalTooShortError(f"need at least 3 samples, got {n}")
+        raise InvalidSpecError(f"need at least 3 samples, got {n}")
     d = np.diff(x)
     max_interior = np.nonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))[0] + 1
     min_interior = np.nonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))[0] + 1
@@ -101,28 +101,32 @@ def _fit_pinv(first: int, last: int, polyorder: int) -> np.ndarray:
     return pinv
 
 
+def smoothing_window(window: int, n: int) -> int:
+    """The window Savitzky-Golay smoothing of ``n`` samples uses: the
+    largest odd value not exceeding ``window`` or ``n``."""
+    w = min(window, n)
+    return w if w % 2 else w - 1
+
+
 def savitzky_golay(signal: np.ndarray, window: int, polyorder: int) -> np.ndarray:
     """Least-squares polynomial smoothing over a sliding window.
 
-    ``window`` shrinks to the largest odd value not exceeding it or the
-    signal length.  Interior samples use the centered window; near the
-    boundaries the window is truncated to the available one-sided
-    samples and refit, with the polynomial degree lowered if the
-    truncated window is too short to determine it.  Raises
-    :class:`BadWindowError` when the shrunk window is smaller than
-    ``polyorder + 1``.
+    ``window`` shrinks to :func:`smoothing_window`.  Interior samples
+    use the centered window; near the boundaries the window is truncated
+    to the available one-sided samples and refit, with the polynomial
+    degree lowered if the truncated window is too short to determine
+    it.  Raises :class:`InvalidSpecError` when the shrunk window is
+    smaller than ``polyorder + 1``.
     """
     x = np.asarray(signal, dtype=np.float64)
     n = x.size
     if n == 0:
-        raise SignalTooShortError("empty signal")
+        raise InvalidSpecError("empty signal")
     if polyorder < 0:
-        raise BadWindowError(f"polyorder must be >= 0, got {polyorder}")
-    w = min(window, n)
-    if w % 2 == 0:
-        w -= 1
+        raise InvalidSpecError(f"polyorder must be >= 0, got {polyorder}")
+    w = smoothing_window(window, n)
     if w < polyorder + 1:
-        raise BadWindowError(f"window {w} too small for polyorder {polyorder}")
+        raise InvalidSpecError(f"window {w} too small for polyorder {polyorder}")
     half = w // 2
     out = np.empty_like(x)
     center_coeffs = _fit_pinv(-half, half, polyorder)[0]
@@ -145,29 +149,31 @@ def smooth_trajectory(
     raw: np.ndarray,
     window: int = SMOOTHING_WINDOW,
     polyorder: int = SMOOTHING_POLYORDER,
-) -> tuple[np.ndarray, list[AffineParams]]:
+) -> tuple[np.ndarray, list[AffineParams], int]:
     """Smooth each trajectory row and derive per-frame corrections.
 
     ``raw`` is a ``(4, n)`` array from :func:`accumulate`.  Per row:
     average the extrema envelopes and Savitzky-Golay filter the average;
     a path of fewer than 3 pairs is too short for an envelope and is
-    left unsmoothed.  Returns the smoothed ``(4, n)`` array and
+    left unsmoothed.  Returns the smoothed ``(4, n)`` array,
     ``corrections``, where ``corrections[i]`` is the similarity taking
     the raw pose at pair ``i`` to the smoothed pose (the per-frame warp
-    the stabilizer applies).
+    the stabilizer applies), and the window used (0 when unsmoothed).
     """
     smoothed = raw.copy()
+    used = 0
     if raw.shape[1] >= 3:
+        used = smoothing_window(window, raw.shape[1])
         for row, values in zip(smoothed, raw):
             up, lo = envelope(values)
-            row[:] = savitzky_golay((up + lo) / 2.0, window, polyorder)
+            row[:] = savitzky_golay((up + lo) / 2.0, used, polyorder)
     # Negated raw-minus-smoothed, not smoothed-minus-raw: the two differ
     # in the sign of zero.
     corrections = [
         AffineParams(tx, ty, wrap_angle(theta), math.exp(log_s))
         for tx, ty, theta, log_s in zip(*(-(raw - smoothed)).tolist())
     ]
-    return smoothed, corrections
+    return smoothed, corrections, used
 
 
 def write_trajectory_csv(path, raw: np.ndarray, smoothed: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineParams, invert, params_to_matrix
-from .errors import InvalidSpecError, LengthMismatchError, SingularTransformError
+from .errors import InvalidSpecError
 from .kernels import affine_bilinear
 from .smoothing import (
     SMOOTHING_POLYORDER,
@@ -75,7 +75,7 @@ def _warp(frame: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
     fwd = params_to_matrix(params)
     det = fwd[0, 0] * fwd[1, 1] - fwd[0, 1] * fwd[1, 0]
     if abs(det) < 1e-12:
-        raise SingularTransformError(f"transform {params} is not invertible")
+        raise InvalidSpecError(f"transform {params} is not invertible")
     sampling = invert(fwd)
     vals, inside = affine_bilinear(
         frame.astype(np.float64), sampling, frame.shape[0], frame.shape[1]
@@ -90,6 +90,7 @@ class StabilizationResult:
 
     The trajectories are ``(4, len(frames) - 1)`` arrays whose rows are
     the cumulative tx, ty, theta and log-scale of each frame pair.
+    ``window`` is the smoothing window used, 0 for an unsmoothed path.
     """
 
     frames: list[np.ndarray]
@@ -98,6 +99,7 @@ class StabilizationResult:
     crop: CropWindow
     raw_trajectory: np.ndarray
     smoothed_trajectory: np.ndarray
+    window: int
     warnings: list[str]
 
 
@@ -119,7 +121,7 @@ def stabilize_video(
     if len(frames) < 2:
         raise InvalidSpecError("need at least two frames to stabilize")
     if len(estimates) != len(frames) - 1:
-        raise LengthMismatchError(
+        raise InvalidSpecError(
             f"{len(estimates)} estimates for {len(frames)} frames"
         )
     h, w = frames[0].shape[:2]
@@ -129,11 +131,11 @@ def stabilize_video(
                 f"frame {i} has shape {f.shape}, expected a 2D grayscale frame"
             )
         if f.shape != (h, w):
-            raise LengthMismatchError(
+            raise InvalidSpecError(
                 f"frame {i} has shape {f.shape}, expected {(h, w)}"
             )
     raw = accumulate(estimates)
-    smoothed, corrections = smooth_trajectory(raw, window=window, polyorder=polyorder)
+    smoothed, corrections, used = smooth_trajectory(raw, window=window, polyorder=polyorder)
     crop = CropWindow.centered(w, h, crop_ratio)
 
     applied: list[AffineParams] = [AffineParams.identity()]
@@ -160,5 +162,6 @@ def stabilize_video(
         crop=crop,
         raw_trajectory=raw,
         smoothed_trajectory=smoothed,
+        window=used,
         warnings=warnings,
     )

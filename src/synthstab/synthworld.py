@@ -25,8 +25,8 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.ndimage import uniform_filter
 
-from .affine import AffineParams, fit_similarity, wrap_angle
-from .errors import InsufficientMarksError, InvalidSpecError
+from .affine import AffineParams, wrap_angle
+from .errors import InvalidSpecError, MeasurementError
 from .kernels import affine_bilinear
 
 TEXTURE_STYLES = ("checker", "noise", "blobs", "mixed")
@@ -587,7 +587,9 @@ def pair_correspondences(
         a["uid"], b["uid"], assume_unique=True, return_indices=True
     )
     if len(shared) < 2:
-        raise InsufficientMarksError(pair_index, len(shared))
+        raise MeasurementError(
+            f"pair {pair_index} shares only {len(shared)} tracked point(s); need >= 2"
+        )
     src = np.stack([a["x"][ia], a["y"][ia]], axis=1)
     dst = np.stack([b["x"][ib], b["y"][ib]], axis=1)
     return src, dst

@@ -15,7 +15,7 @@ from synthstab.affine import (
     params_to_matrix,
     wrap_angle,
 )
-from synthstab.errors import DegenerateConfigurationError
+from synthstab.errors import MeasurementError
 
 
 def random_params(rng: np.random.Generator) -> AffineParams:
@@ -170,21 +170,21 @@ def test_fit_similarity_is_least_squares():
 
 
 def test_fit_similarity_rejects_degenerate_input():
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(MeasurementError):
         fit_similarity(np.empty((0, 2)), np.empty((0, 2)))
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(MeasurementError):
         fit_similarity(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(MeasurementError):
         fit_similarity(np.array([[5.0, 5.0], [5.0, 5.0]]), np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_fit_similarity_rejects_bad_shapes():
     src = np.array([[0.0, 0.0], [10.0, 4.0], [3.0, -2.0]])
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(MeasurementError):
         fit_similarity(src, src[:2])
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(MeasurementError):
         fit_similarity(np.zeros((3, 3)), np.zeros((3, 3)))
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(MeasurementError):
         fit_similarity(src.ravel(), src.ravel())
 
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synthstab import cli
+from synthstab import cli, errors
 from synthstab import dataset as ds
 from synthstab.affine import AffineParams, wrap_angle
 from synthstab.estimator import estimate_sequence
@@ -294,3 +294,69 @@ def test_bad_translation_mode_is_a_validation_error(tmp_path, capsys):
     argv = ["evaluate", "--config", str(cfg), "--original", missing, "--stabilized", missing]
     assert cli.run(argv) == cli.EXIT_VALIDATION
     assert "translation_mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code, stderr",
+    [
+        (errors.SynthStabError("boom"), 2, "error: boom"),
+        (errors.InvalidSpecError("bad spec"), 2, "error: bad spec"),
+        (
+            errors.NonFiniteLossError("translation", 3, 1),
+            3,
+            "training error: non-finite loss in translation at epoch 3, batch 1",
+        ),
+        (errors.IoFailureError("bad file"), 4, "io error: bad file"),
+        (errors.MeasurementError("no signal"), 5, "evaluation error: no signal"),
+    ],
+    ids=["base", "invalid-spec", "non-finite-loss", "io-failure", "measurement"],
+)
+def test_each_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, error, code, stderr):
+    def fail(args, config):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    assert cli.run(["generate", "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == stderr + "\n" and captured.out == ""
+
+
+def _short_clip(tmp_path, capsys, n_frames):
+    """A one-video dataset stabilized with the oracle; returns (data, video_dir)."""
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"n_videos=1\nn_frames={n_frames}\nwidth=64\nheight=64\n", encoding="utf-8")
+    data = tmp_path / "data"
+    _run_ok(["generate", "--config", cfg, "--out", data], capsys)
+    video_dir = data / "video_000"
+    _run_ok(["stabilize", "--input", video_dir, "--backend", "oracle"], capsys)
+    return data, video_dir
+
+
+def test_too_short_clip_is_an_evaluation_error_or_a_nan_row(tmp_path, capsys):
+    data, video_dir = _short_clip(tmp_path, capsys, 6)
+    argv = ["evaluate", "--original", video_dir, "--stabilized", video_dir / "stabilized"]
+    assert cli.run([str(a) for a in argv]) == cli.EXIT_EVALUATION
+    captured = capsys.readouterr()
+    assert captured.err == "evaluation error: stability needs at least 8 samples, got 5\n"
+    assert captured.out == ""
+    _run_ok(["evaluate", "--batch", data], capsys)
+    rows = (data / "batch_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1:] == ["video_000,nan,nan,nan,false"]
+
+
+def _report_window(video_dir, out):
+    lines = (video_dir / out / "stabilize_report.txt").read_text(encoding="utf-8").splitlines()
+    return [ln for ln in lines if ln.startswith("window: ")]
+
+
+def test_stabilize_report_records_the_window_used(tmp_path, capsys):
+    # 24 frames are 23 pairs: the default 51 shrinks to 23, and 10 to 9.
+    _, video_dir = _short_clip(tmp_path, capsys, 24)
+    argv = ["stabilize", "--input", video_dir, "--backend", "oracle", "--window", "10"]
+    _run_ok(argv + ["--out", video_dir / "w10"], capsys)
+    assert _report_window(video_dir, "stabilized") == ["window: 23"]
+    assert _report_window(video_dir, "w10") == ["window: 9"]
+    # One pair is too short a path to smooth.
+    (tmp_path / "two").mkdir()
+    _, video_dir = _short_clip(tmp_path / "two", capsys, 2)
+    assert _report_window(video_dir, "stabilized") == ["window: 0"]

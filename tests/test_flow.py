@@ -8,7 +8,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from synthstab import estimator, flow, generate, stabilizer
-from synthstab.errors import FrameMismatchError
+from synthstab.errors import MeasurementError
 from synthstab.flow import (
     QUALITY_MAX_SAD_PER_PIXEL,
     TEXTURE_MIN_RANGE,
@@ -295,15 +295,15 @@ def test_two_dimensional_input_gives_two_dimensional_field():
     ],
 )
 def test_mismatched_flow_inputs_raise(shape_a, shape_b):
-    with pytest.raises(FrameMismatchError):
+    with pytest.raises(MeasurementError):
         compute_flow(np.zeros(shape_a, np.uint8), np.zeros(shape_b, np.uint8))
 
 
 def test_stack_frames_needs_one_two_dimensional_shape():
-    with pytest.raises(FrameMismatchError):
+    with pytest.raises(MeasurementError):
         stack_frames([np.zeros((8, 8)), np.zeros((8, 9))])
-    with pytest.raises(FrameMismatchError):
+    with pytest.raises(MeasurementError):
         stack_frames([np.zeros((2, 8, 8))])
-    with pytest.raises(FrameMismatchError):
+    with pytest.raises(MeasurementError):
         stack_frames([])
     assert stack_frames([np.zeros((8, 9))] * 3).shape == (3, 8, 9)

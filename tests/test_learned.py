@@ -7,7 +7,7 @@ import pytest
 
 from synthstab.affine import AffineParams
 from synthstab.cnn import ConvRegressor, NetworkShape, load_tensors, save_tensors
-from synthstab.errors import IoFailureError, NonFiniteEstimateError
+from synthstab.errors import IoFailureError, MeasurementError
 from synthstab.estimator import LearnedEstimator, estimate_sequence
 
 SIDE = 16
@@ -36,7 +36,7 @@ def test_nan_weight_becomes_identity_with_warning():
     tensors = untrained_tensors()
     tensors["tr_fc3_b"] = np.array([np.nan, 0.0])
     learned = LearnedEstimator(tensors)
-    with pytest.raises(NonFiniteEstimateError):
+    with pytest.raises(MeasurementError):
         learned.estimate(*_frames(2))
     estimates, warnings = estimate_sequence(_frames(), "learned", weights=learned)
     assert estimates == [AffineParams.identity()] * 2

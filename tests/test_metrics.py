@@ -10,7 +10,7 @@ from scipy.ndimage import gaussian_filter
 
 from synthstab import estimator, metrics, stabilizer
 from synthstab.affine import AffineParams
-from synthstab.errors import DegenerateError, FrameMismatchError
+from synthstab.errors import MeasurementError
 from synthstab.generate import GenerateConfig, make_video
 from synthstab.kernels import affine_bilinear, bilinear_sample
 
@@ -65,14 +65,14 @@ def refine_reference(frame_a, frame_b, src, dst, block_size, iterations=4):
         kept_src.append((float(cx), float(cy)))
         kept_dst.append((float(cx) + u, float(cy) + v))
     if len(kept_src) < 4:
-        raise DegenerateError(f"only {len(kept_src)} cells survive photometric refinement")
+        raise MeasurementError(f"only {len(kept_src)} cells survive photometric refinement")
     return np.asarray(kept_src), np.asarray(kept_dst)
 
 
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except DegenerateError as exc:
+    except MeasurementError as exc:
         return str(exc)
 
 
@@ -209,7 +209,7 @@ def test_fewer_than_four_survivors_is_degenerate():
     frame_a, frame_b = _textured_pair()
     src, dst = _grid(INTERIOR[:5])
     frame_a[BS : 3 * BS, BS : 2 * BS] = 100  # flattens cells (1, 1) and (1, 2)
-    with pytest.raises(DegenerateError, match="only 3 cells survive"):
+    with pytest.raises(MeasurementError, match="only 3 cells survive"):
         metrics._refine_correspondences(frame_a, frame_b, src, dst, BS)
     assert _outcome(refine_reference, frame_a, frame_b, src, dst, BS) == (
         "only 3 cells survive photometric refinement"
@@ -261,7 +261,7 @@ def test_cropping_ratio_equals_stabilizer_valid_fractions(layers, style, crop_ra
 @pytest.mark.parametrize("keep", [0, 5], ids=["empty", "short"])
 def test_wrong_number_of_transforms_is_a_frame_mismatch(keep):
     clip, res = _oracle_stabilized(1, "mixed")
-    with pytest.raises(FrameMismatchError, match=f"{keep} applied transforms for 12 frames"):
+    with pytest.raises(MeasurementError, match=f"{keep} applied transforms for 12 frames"):
         metrics.evaluate(clip.frames, res.frames, res.applied[:keep], res.crop)
 
 

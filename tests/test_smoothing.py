@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from synthstab.affine import AffineParams
-from synthstab.errors import BadWindowError, SignalTooShortError
+from synthstab.errors import InvalidSpecError
 from synthstab import smoothing
 from synthstab.smoothing import (
     accumulate,
@@ -16,6 +16,7 @@ from synthstab.smoothing import (
     find_extrema,
     savitzky_golay,
     smooth_trajectory,
+    smoothing_window,
     write_trajectory_csv,
 )
 
@@ -91,16 +92,16 @@ def test_sg_constant_preserved_any_order():
 
 def test_sg_rejects_bad_windows():
     x = np.zeros(100)
-    with pytest.raises(BadWindowError):
+    with pytest.raises(InvalidSpecError):
         savitzky_golay(x, 3, 4)
-    with pytest.raises(BadWindowError):
+    with pytest.raises(InvalidSpecError):
         # Shrinks to window 3, too short for a cubic.
         savitzky_golay(np.zeros(4), 51, 3)
-    with pytest.raises(BadWindowError):
+    with pytest.raises(InvalidSpecError):
         savitzky_golay(x, 0, 0)
-    with pytest.raises(BadWindowError):
+    with pytest.raises(InvalidSpecError):
         savitzky_golay(x, 11, -1)
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(InvalidSpecError):
         savitzky_golay(np.array([]), 5, 1)
 
 
@@ -113,6 +114,17 @@ def test_sg_clamp_shrinks_window():
     np.testing.assert_array_equal(savitzky_golay(x, 51, 1), want)
     np.testing.assert_array_equal(savitzky_golay(x, 10, 1), want)
     np.testing.assert_allclose(want, sg_oracle(x, 9, 1), atol=1e-9)
+
+
+def test_smoothing_window_is_the_window_used():
+    assert [smoothing_window(w, 23) for w in (51, 23, 22, 10, 9)] == [23, 23, 21, 9, 9]
+    assert smoothing_window(4, 3) == 3
+    raw = accumulate(random_param_list(np.random.default_rng(5), 23))
+    for window, used in ((51, 23), (10, 9)):
+        smoothed, _, got = smooth_trajectory(raw, window=window, polyorder=1)
+        assert got == used
+        want, _, _ = smooth_trajectory(raw, window=used, polyorder=1)
+        np.testing.assert_array_equal(smoothed, want)
 
 
 def test_sg_smooths_noise_toward_trend():
@@ -153,7 +165,7 @@ def test_find_extrema_monotone_endpoints_only():
 
 
 def test_find_extrema_too_short():
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(InvalidSpecError):
         find_extrema(np.array([1.0, 2.0]))
 
 
@@ -235,7 +247,7 @@ def test_accumulate_round_trip():
 
 
 def test_accumulate_empty_rejected():
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(InvalidSpecError):
         accumulate([])
 
 
@@ -248,7 +260,7 @@ def test_smooth_linear_trajectory_identity_corrections():
     # Constant per-pair motion accumulates to a line, which order-1
     # smoothing reproduces; corrections collapse to identity.
     params = [AffineParams(0.7, -0.4, 0.001, 1.0)] * 120
-    _, corrections = smooth_trajectory(accumulate(params), window=51, polyorder=1)
+    _, corrections, _ = smooth_trajectory(accumulate(params), window=51, polyorder=1)
     for c in corrections:
         assert abs(c.tx) < 0.1
         assert abs(c.ty) < 0.1
@@ -263,7 +275,7 @@ def test_smooth_reduces_jitter_variance():
         for j in rng.uniform(-2.0, 2.0, size=200)
     ]
     traj = accumulate(params)
-    smoothed, _ = smooth_trajectory(traj, window=51, polyorder=1)
+    smoothed, _, _ = smooth_trajectory(traj, window=51, polyorder=1)
     raw_jitter = np.diff(traj[0], n=2)
     smooth_jitter = np.diff(smoothed[0], n=2)
     assert np.abs(smooth_jitter).mean() < np.abs(raw_jitter).mean() / 4.0
@@ -272,9 +284,9 @@ def test_smooth_reduces_jitter_variance():
 def test_smooth_short_series_untouched():
     params = [AffineParams(1.0, 2.0, 0.01, 1.01), AffineParams(-1.0, 0.5, -0.01, 0.99)]
     raw = accumulate(params)
-    smoothed, corrections = smooth_trajectory(raw)
+    smoothed, corrections, window = smooth_trajectory(raw)
     np.testing.assert_array_equal(smoothed, raw)
-    assert smoothed is not raw
+    assert smoothed is not raw and window == 0
     for c in corrections:
         assert c.tx == 0.0 and c.ty == 0.0 and c.theta == 0.0 and c.s == 1.0
 
@@ -285,7 +297,7 @@ def test_smooth_corrections_negate_trajectory_difference():
     rng = np.random.default_rng(71)
     params = random_param_list(rng, 80)
     traj = accumulate(params)
-    smoothed, corrections = smooth_trajectory(traj, window=21, polyorder=1)
+    smoothed, corrections, _ = smooth_trajectory(traj, window=21, polyorder=1)
     assert smoothed.shape == traj.shape and smoothed.flags.c_contiguous
     assert len(corrections) == traj.shape[1]
     for i, corr in enumerate(corrections):
@@ -304,7 +316,7 @@ def test_write_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(73)
     params = random_param_list(rng, 30)
     traj = accumulate(params)
-    smoothed, _ = smooth_trajectory(traj, window=11, polyorder=1)
+    smoothed, _, _ = smooth_trajectory(traj, window=11, polyorder=1)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, traj, smoothed)
     lines = path.read_text().strip().split("\n")

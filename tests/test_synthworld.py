@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from synthstab.affine import apply_transform, params_to_matrix
-from synthstab.errors import InsufficientMarksError, InvalidSpecError
+from synthstab.errors import InvalidSpecError, MeasurementError
 from synthstab.estimator import estimate_sequence
 from synthstab.synthworld import (
     MARK_DTYPE,
@@ -311,10 +309,8 @@ def _marks(*rows):
 
 
 def test_pair_correspondences_requires_shared_marks():
-    with pytest.raises(InsufficientMarksError) as info:
+    with pytest.raises(MeasurementError, match=r"pair 0 shares only 0 tracked point\(s\)"):
         pair_correspondences(_marks((0, 1, 0.0, 0.0), (1, 2, 1.0, 1.0)), 0)
-    assert info.value.pair_index == 0
-    assert info.value.n_shared == 0
 
 
 def test_pair_correspondences_returns_uid_ordered_arrays():
