@@ -4,7 +4,7 @@ from .affine import AffineParams, fit_similarity
 from .errors import SynthStabError
 from .estimator import TrainConfig, estimate_sequence, train
 from .generate import GenerateConfig, generate_dataset, sample_random_pairs
-from .metrics import MetricsConfig, MetricsReport, evaluate
+from .metrics import MetricsReport, evaluate
 from .smoothing import smooth_trajectory
 from .stabilizer import CropWindow, StabilizationResult, stabilize_video
 from .synthworld import CameraPose, NoiseProfile, SceneSpec, SmoothPathSpec
@@ -16,7 +16,6 @@ __all__ = [
     "CameraPose",
     "CropWindow",
     "GenerateConfig",
-    "MetricsConfig",
     "MetricsReport",
     "NoiseProfile",
     "SceneSpec",

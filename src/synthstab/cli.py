@@ -25,28 +25,16 @@ from .errors import (
     InvalidSpecError,
     IoFailureError,
     MeasurementError,
-    NonFiniteLossError,
     SynthStabError,
 )
 from .estimator import LearnedEstimator, TrainConfig, estimate_sequence, save_weights, train
-from .generate import (
-    MAX_ROTATION,
-    MAX_SCALE_DELTA,
-    MAX_TRANSLATION,
-    GenerateConfig,
-    generate_dataset,
-    sample_random_pairs,
-)
-from .metrics import MetricsConfig, MetricsReport, batch_summary_rows, evaluate, write_report
+from .generate import GenerateConfig, generate_dataset, sample_random_pairs
+from .metrics import MetricsReport, batch_summary_rows, evaluate, write_report
 from .smoothing import SMOOTHING_POLYORDER, SMOOTHING_WINDOW, write_trajectory_csv
 from .stabilizer import CROP_RATIO, CropWindow, StabilizationResult, stabilize_video
 from .synthworld import TEXTURE_STYLES
 
 EXIT_OK = 0
-EXIT_VALIDATION = InvalidSpecError.exit_code
-EXIT_TRAINING = NonFiniteLossError.exit_code
-EXIT_IO = IoFailureError.exit_code
-EXIT_EVALUATION = MeasurementError.exit_code
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -72,15 +60,6 @@ def load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise InvalidSpecError(f"config key {key} is not a boolean: {text!r}")
-
-
 class Options:
     """Merged view of CLI args, config file, and defaults.
 
@@ -93,18 +72,16 @@ class Options:
         self._config = config
         self._read: set[str] = set()
 
-    def get(self, name: str, default, cast=None):
+    def get(self, name: str, default):
+        """The option ``name``; a config value is cast to ``default``'s type."""
         self._read.add(name)
         cli_value = getattr(self._args, name, None)
         if cli_value is not None:
             return cli_value
         if name in self._config:
             text = self._config[name]
-            if cast is bool or isinstance(default, bool):
-                return _parse_bool(text, name)
-            caster = cast or type(default)
             try:
-                return caster(text)
+                return type(default)(text)
             except ValueError as exc:
                 raise InvalidSpecError(
                     f"config key {name} has invalid value {text!r}"
@@ -112,16 +89,15 @@ class Options:
         return default
 
     def fill(self, defaults, **keys):
-        """``defaults`` with every field an option sets replaced.
+        """``defaults`` with every field replaced by its option.
 
         Each field is read from the option of the same name, or of the
-        name ``keys`` gives it; a field keyed to ``None`` is left alone.
+        name ``keys`` gives it.
         """
-        values = {}
-        for f in dataclasses.fields(defaults):
-            name = keys.get(f.name, f.name)
-            if name is not None:
-                values[f.name] = self.get(name, getattr(defaults, f.name))
+        values = {
+            f.name: self.get(keys.get(f.name, f.name), getattr(defaults, f.name))
+            for f in dataclasses.fields(defaults)
+        }
         return dataclasses.replace(defaults, **values)
 
     def reject_unread(self) -> None:
@@ -172,24 +148,13 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 def cmd_train(args: argparse.Namespace, config: dict[str, str]) -> int:
     opts = Options(args, config)
-    use_flow = not opts.get("no_flow_channel", False, cast=bool)
-    cfg = opts.fill(TrainConfig(use_flow=use_flow), use_flow=None)
+    cfg = opts.fill(TrainConfig())
     n_pairs = opts.get("n_pairs", 500)
-    max_translation = opts.get("max_translation", MAX_TRANSLATION)
-    max_rotation = opts.get("max_rotation", MAX_ROTATION)
-    max_scale_delta = opts.get("max_scale_delta", MAX_SCALE_DELTA)
     opts.reject_unread()
     print(f"seed: {cfg.seed}")
     _check_output_file(args.out, args.force)
     print(f"sampling {n_pairs} training pairs")
-    samples = sample_random_pairs(
-        n_pairs,
-        side=cfg.input_side,
-        max_translation=max_translation,
-        max_rotation=max_rotation,
-        max_scale_delta=max_scale_delta,
-        seed=cfg.seed,
-    )
+    samples = sample_random_pairs(n_pairs, side=cfg.input_side, seed=cfg.seed)
     result = train(samples, cfg)
     save_weights(args.out, result)
     for name in ("translation", "rotscale"):
@@ -251,10 +216,9 @@ def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
     window = opts.get("window", SMOOTHING_WINDOW)
     polyorder = opts.get("polyorder", SMOOTHING_POLYORDER)
     crop = opts.get("crop", CROP_RATIO)
-    # Read even where the backend ignores them, so that one config file
+    # Read even where the backend ignores it, so that one config file
     # serves every backend.
-    weights_path = opts.get("weights", None, cast=str)
-    no_flow_channel = opts.get("no_flow_channel", False, cast=bool)
+    weights_path = opts.get("weights", "")
     opts.reject_unread()
     out_dir = args.out or os.path.join(args.input, "stabilized")
     _check_output_dir(out_dir, args.force)
@@ -264,10 +228,6 @@ def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
         if not weights_path:
             raise InvalidSpecError("learned backend requires --weights")
         weights = LearnedEstimator.from_file(weights_path)
-        if no_flow_channel and weights.use_flow:
-            raise InvalidSpecError(
-                "--no-flow-channel conflicts with weights trained on flow input"
-            )
     estimates, est_warnings = estimate_sequence(
         video.frames,
         backend,
@@ -294,9 +254,7 @@ def cmd_stabilize(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _evaluate_one(
-    original_dir: str, stabilized_dir: str, cfg: MetricsConfig
-) -> MetricsReport:
+def _evaluate_one(original_dir: str, stabilized_dir: str) -> MetricsReport:
     orig = ds.read_video_dir(original_dir)
     stab = ds.read_video_dir(stabilized_dir)
     applied_path = os.path.join(stabilized_dir, "applied_transforms.txt")
@@ -313,13 +271,12 @@ def _evaluate_one(
         (orig.width - stab.width) // 2, (orig.height - stab.height) // 2,
         stab.width, stab.height,
     )
-    return evaluate(orig.frames, stab.frames, applied, crop, cfg)
+    return evaluate(orig.frames, stab.frames, applied, crop)
 
 
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = Options(args, config)
-    cfg = opts.fill(MetricsConfig(), block_size="metric_block_size")
-    opts.reject_unread()
+    # evaluate reads no option, so every config key is refused.
+    Options(args, config).reject_unread()
     if args.batch:
         root = args.batch
         entries: list[tuple[str, MetricsReport]] = []
@@ -335,7 +292,7 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
                 )
                 continue
             try:
-                report = _evaluate_one(video_dir, stab_dir, cfg)
+                report = _evaluate_one(video_dir, stab_dir)
             except MeasurementError as exc:
                 # One failed video is a NaN row, not a failed batch.
                 print(f"warning: {video_id} failed: {exc}", file=sys.stderr)
@@ -354,7 +311,7 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
         raise InvalidSpecError(
             "evaluate needs either --batch or both --original and --stabilized"
         )
-    report = _evaluate_one(args.original, args.stabilized, cfg)
+    report = _evaluate_one(args.original, args.stabilized)
     report_path = args.report or os.path.join(args.stabilized, "report.txt")
     write_report(report_path, report)
     for key, value in report.rows():
@@ -436,13 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lr-after-drop", dest="lr_after_drop", type=float, default=None
     )
     p.add_argument("--dropout", dest="dropout_rate", type=float, default=None)
-    p.add_argument(
-        "--no-flow-channel",
-        dest="no_flow_channel",
-        action="store_true",
-        default=None,
-        help="train on the two grayscale channels only",
-    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -456,13 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("oracle", "blockmatch", "learned"), default=None
     )
     p.add_argument("--weights", default=None, help="weights file (learned backend)")
-    p.add_argument(
-        "--no-flow-channel",
-        dest="no_flow_channel",
-        action="store_true",
-        default=None,
-        help="reject weights that expect flow input",
-    )
     p.add_argument("--window", type=int, default=None, help="smoothing window")
     p.add_argument("--polyorder", type=int, default=None)
     p.add_argument("--crop", type=float, default=None, help="crop side ratio")
@@ -478,12 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", default=None, help="dataset root with per-video stabilized dirs"
     )
     p.add_argument("--summary", default=None, help="batch summary CSV path")
-    p.add_argument(
-        "--translation-mode",
-        dest="translation_mode",
-        choices=("magnitude", "separate"),
-        default=None,
-    )
     p.set_defaults(func=cmd_evaluate)
     return parser
 

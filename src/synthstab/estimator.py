@@ -4,6 +4,9 @@ Three interchangeable backends produce the similarity parameters
 between consecutive frames: ``oracle`` fits tracked mark points,
 ``blockmatch`` fits block-matching flow robustly, and ``learned`` runs
 two trained regressors (translation head and rotation/scale head).
+
+Both regressors take the same ``INPUT_CHANNELS`` = 4 channels: the two
+resized grayscale frames and the two components of their block flow.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ ROBUST_ROUNDS = 3
 ROBUST_FACTOR = 3.0
 MIN_FLOW_CELLS = 8
 MIN_PREDICTED_SCALE = 0.01
+# Frame a, frame b, flow u, flow v.
+INPUT_CHANNELS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +105,6 @@ class TrainConfig:
     """Optimizer and data-layout settings for the two regressors."""
 
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 40
     epochs_tr: int = 65
     epochs_rs: int = 2
@@ -110,7 +112,6 @@ class TrainConfig:
     lr_after_drop: float = 1e-5
     dropout_rate: float = 0.5
     input_side: int = 64
-    use_flow: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,10 +121,6 @@ class TrainConfig:
             raise InvalidSpecError("epoch counts must be at least 1")
         if self.input_side < 16:
             raise InvalidSpecError("input_side must be at least 16")
-
-    @property
-    def n_channels(self) -> int:
-        return 4 if self.use_flow else 2
 
 
 def _resize_matrix(h: int, w: int, side: int) -> tuple[np.ndarray, float]:
@@ -142,11 +139,12 @@ def preprocess_pair(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
     input_side: int,
-    use_flow: bool,
     flow: FlowField | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Stack the network input channels; returns (C, S, S) and the
-    translation scale factor between original and network pixels."""
+    """Stack the ``INPUT_CHANNELS`` network inputs; returns
+    (INPUT_CHANNELS, S, S) and the translation scale factor between
+    original and network pixels.  ``flow`` is the pair's precomputed
+    flow field, computed here when absent."""
     fa = np.asarray(frame_a)
     fb = np.asarray(frame_b)
     if fa.shape != fb.shape or fa.ndim != 2:
@@ -155,15 +153,12 @@ def preprocess_pair(
     m, r = _resize_matrix(h, w, input_side)
     ga, _ = affine_bilinear(fa.astype(np.float64) / 255.0, m, input_side, input_side)
     gb, _ = affine_bilinear(fb.astype(np.float64) / 255.0, m, input_side, input_side)
-    channels = [ga, gb]
-    if use_flow:
-        if flow is None:
-            flow = compute_flow(fa, fb)
-        du, dv = flow_to_dense(flow, h, w)
-        su, _ = affine_bilinear(du * r, m, input_side, input_side)
-        sv, _ = affine_bilinear(dv * r, m, input_side, input_side)
-        channels.extend([su, sv])
-    return np.stack(channels, axis=0), r
+    if flow is None:
+        flow = compute_flow(fa, fb)
+    du, dv = flow_to_dense(flow, h, w)
+    su, _ = affine_bilinear(du * r, m, input_side, input_side)
+    sv, _ = affine_bilinear(dv * r, m, input_side, input_side)
+    return np.stack([ga, gb, su, sv], axis=0), r
 
 
 def build_training_arrays(
@@ -171,21 +166,17 @@ def build_training_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network inputs plus translation and rotation/scale target rows.
 
-    With ``cfg.use_flow`` the flow of every pair comes from one stacked
-    ``compute_flow`` call.
+    The flow of every pair comes from one stacked ``compute_flow`` call.
     """
-    flows = None
-    if cfg.use_flow:
-        flows = compute_flow(
-            stack_frames([s.frame_a for s in samples]),
-            stack_frames([s.frame_b for s in samples]),
-        )
+    flows = compute_flow(
+        stack_frames([s.frame_a for s in samples]),
+        stack_frames([s.frame_b for s in samples]),
+    )
     xs = []
     t_tr = []
     t_rs = []
     for p, s in enumerate(samples):
-        flow = None if flows is None else flows.pair(p)
-        x, r = preprocess_pair(s.frame_a, s.frame_b, cfg.input_side, cfg.use_flow, flow=flow)
+        x, r = preprocess_pair(s.frame_a, s.frame_b, cfg.input_side, flow=flows.pair(p))
         xs.append(x)
         t_tr.append((s.params.tx * r, s.params.ty * r))
         t_rs.append((s.params.theta, s.params.s))
@@ -216,12 +207,12 @@ def _train_one(
     std = np.maximum(targets.std(axis=0), 1e-8)
     t_std = (targets - mean) / std
     shape = NetworkShape(
-        in_channels=cfg.n_channels,
+        in_channels=INPUT_CHANNELS,
         input_side=cfg.input_side,
         dropout_rate=cfg.dropout_rate,
     )
     net = ConvRegressor(shape, seed=seed)
-    opt = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
     n = x.shape[0]
     log: list[tuple[str, int, float]] = []
@@ -264,7 +255,6 @@ def train(samples: list[PairSample], cfg: TrainConfig) -> TrainResult:
     tensors["rs_target_mean"] = mean_rs
     tensors["rs_target_std"] = std_rs
     tensors["meta_input_side"] = np.array([float(cfg.input_side)])
-    tensors["meta_use_flow"] = np.array([1.0 if cfg.use_flow else 0.0])
     return TrainResult(tensors=tensors, log=log_tr + log_rs, config=cfg)
 
 
@@ -276,21 +266,22 @@ def save_weights(path: str, result: TrainResult) -> None:
 
 
 class LearnedEstimator:
-    """Runs the two trained regressors on a preprocessed frame pair."""
+    """Runs the two trained regressors on a preprocessed frame pair.
+
+    Tensors the regressors do not use, such as the ``meta_use_flow``
+    flag that older weights files carry, are ignored.
+    """
 
     def __init__(self, tensors: dict[str, np.ndarray]) -> None:
         try:
             self.input_side = int(tensors["meta_input_side"][0])
-            use_flow = bool(tensors["meta_use_flow"][0])
         except KeyError as exc:
             raise IoFailureError(f"weights file missing tensor {exc}") from exc
-        self.use_flow = use_flow
         self.nets: dict[str, ConvRegressor] = {}
         self.norms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for prefix in ("tr", "rs"):
-            in_channels = tensors[f"{prefix}_conv1_w"].shape[1]
             shape = NetworkShape(
-                in_channels=in_channels, input_side=self.input_side, dropout_rate=0.0
+                in_channels=INPUT_CHANNELS, input_side=self.input_side, dropout_rate=0.0
             )
             net = ConvRegressor(shape, seed=0)
             for pname in net.param_names():
@@ -317,8 +308,8 @@ class LearnedEstimator:
         self, frame_a: np.ndarray, frame_b: np.ndarray, flow: FlowField | None = None
     ) -> AffineParams:
         """Motion from ``frame_a`` to ``frame_b``; ``flow`` is their
-        precomputed flow field, computed here when needed and absent."""
-        x, r = preprocess_pair(frame_a, frame_b, self.input_side, self.use_flow, flow=flow)
+        precomputed flow field, computed here when absent."""
+        x, r = preprocess_pair(frame_a, frame_b, self.input_side, flow=flow)
         batch = x[None, :, :, :]
         mean_tr, std_tr = self.norms["tr"]
         mean_rs, std_rs = self.norms["rs"]
@@ -344,12 +335,6 @@ class LearnedEstimator:
 BACKENDS = ("oracle", "blockmatch", "learned")
 
 
-def _clip_flow(frames: list[np.ndarray]) -> FlowField:
-    """Flow of every consecutive pair of a clip, in one stacked call."""
-    stack = stack_frames(frames)
-    return compute_flow(stack[:-1], stack[1:])
-
-
 def estimate_sequence(
     frames: list[np.ndarray],
     backend: str,
@@ -370,9 +355,21 @@ def estimate_sequence(
         if marks is None:
             raise InvalidSpecError("oracle backend requires mark records")
         runner = lambda i: fit_similarity(*pair_correspondences(marks, i))
-    elif backend == "blockmatch":
+    else:
+        if backend == "learned":
+            if weights is None:
+                raise InvalidSpecError("learned backend requires weights")
+            learned = (
+                weights
+                if isinstance(weights, LearnedEstimator)
+                else LearnedEstimator.from_file(weights)
+            )
+            fit = lambda i, flow: learned.estimate(frames[i], frames[i + 1], flow)
+        else:
+            fit = lambda i, flow: robust_fit_flow(flow)
         try:
-            flows = _clip_flow(frames)
+            stack = stack_frames(frames)
+            flows = compute_flow(stack[:-1], stack[1:])
         except MeasurementError as exc:
             # The frames of the clip, not one pair, fail the check, so
             # every pair fails with it.
@@ -382,26 +379,7 @@ def estimate_sequence(
                 raise failure
 
         else:
-            runner = lambda i: robust_fit_flow(flows.pair(i))
-    else:
-        if weights is None:
-            raise InvalidSpecError("learned backend requires weights")
-        learned = (
-            weights
-            if isinstance(weights, LearnedEstimator)
-            else LearnedEstimator.from_file(weights)
-        )
-        flows = None
-        if learned.use_flow:
-            try:
-                flows = _clip_flow(frames)
-            except MeasurementError:
-                # Each pair then computes its own flow, and fails, or
-                # not, on its own.
-                pass
-        runner = lambda i: learned.estimate(
-            frames[i], frames[i + 1], None if flows is None else flows.pair(i)
-        )
+            runner = lambda i: fit(i, flows.pair(i))
 
     def attempt(i: int) -> tuple[AffineParams, str | None]:
         try:

@@ -55,9 +55,6 @@ class GenerateConfig:
     seed: int = 0
     n_layers: int = 1
     texture_style: str = "mixed"
-    mark_points: int = 16
-    mark_beta_frames: int = 24
-    mark_period: int = 12
 
     def __post_init__(self) -> None:
         if self.n_videos < 1:
@@ -141,13 +138,7 @@ def make_video(cfg: GenerateConfig, index: int) -> VideoData:
     noise = replace(NoiseProfile(), seed=seed)
     _, shaky = generate_camera_path(smooth_spec, noise, cfg.n_frames)
     frames = render_video(scene, shaky)
-    marks = emit_mark_points(
-        scene,
-        shaky,
-        k_points=cfg.mark_points,
-        beta_frames=cfg.mark_beta_frames,
-        sampling_period=cfg.mark_period,
-    )
+    marks = emit_mark_points(scene, shaky)
     gt = [
         pose_delta_params(shaky[i], shaky[i + 1], cfg.width, cfg.height)
         for i in range(cfg.n_frames - 1)
@@ -187,15 +178,11 @@ class PairSample:
     params: AffineParams
 
 
-def sample_random_pairs(
-    n_pairs: int,
-    side: int = 64,
-    max_translation: float = MAX_TRANSLATION,
-    max_rotation: float = MAX_ROTATION,
-    max_scale_delta: float = MAX_SCALE_DELTA,
-    seed: int = 0,
-) -> list[PairSample]:
+def sample_random_pairs(n_pairs: int, side: int = 64, seed: int = 0) -> list[PairSample]:
     """Frame pairs under known similarity motion, exact targets included.
+
+    Each motion is drawn uniformly within ``MAX_TRANSLATION``,
+    ``MAX_ROTATION`` and ``MAX_SCALE_DELTA``.
 
     The second pose is solved so that the screen-space motion between the
     two renders equals the sampled parameters exactly.
@@ -226,10 +213,10 @@ def sample_random_pairs(
             zoom=float(np.exp(rng.uniform(-0.05, 0.05))),
         )
         params = AffineParams(
-            tx=rng.uniform(-max_translation, max_translation),
-            ty=rng.uniform(-max_translation, max_translation),
-            theta=rng.uniform(-max_rotation, max_rotation),
-            s=1.0 + rng.uniform(-max_scale_delta, max_scale_delta),
+            tx=rng.uniform(-MAX_TRANSLATION, MAX_TRANSLATION),
+            ty=rng.uniform(-MAX_TRANSLATION, MAX_TRANSLATION),
+            theta=rng.uniform(-MAX_ROTATION, MAX_ROTATION),
+            s=1.0 + rng.uniform(-MAX_SCALE_DELTA, MAX_SCALE_DELTA),
         )
         pose_b = pose_after_delta(pose_a, params, side, side)
         frame_a = render_video(scene, [pose_a])[0]

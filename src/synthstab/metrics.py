@@ -4,6 +4,11 @@ Stability measures how much of the inter-frame motion energy lives in
 the low-frequency bins of the motion spectrum; distortion measures the
 worst anisotropic scaling introduced by stabilization; the cropping
 ratio measures how much of the original picture survives.
+
+The stability series is fixed: per-pair motion is fitted to block flow
+on ``BLOCK_SIZE`` px blocks, and translation is scored on its
+magnitude ``hypot(tx, ty)``, rotation on theta.  Distortion matches
+blocks of the same size.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .affine import AffineParams, invert, params_to_matrix
 from .dataset import atomic_write_text
-from .errors import InvalidSpecError, MeasurementError
+from .errors import MeasurementError
 from .flow import FlowField, compute_flow, stack_frames
 from .kernels import affine_bilinear, bilinear_sample
 from .stabilizer import CropWindow
@@ -28,9 +33,8 @@ RANK_RATIO_MIN = 1e-10
 # A real warp leaves median fit residuals around a few hundredths of a
 # pixel; unrelated frame content leaves them above a pixel.
 MAX_FIT_RESIDUAL = 1.0
-# Flow block side of the distortion match; ``MetricsConfig.block_size``
-# sets only the stability series.
-DISTORTION_BLOCK_SIZE = 16
+# Flow block side of the stability series and the distortion match.
+BLOCK_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +252,8 @@ def stability_score(series: np.ndarray) -> float:
     return kept / total
 
 
-@dataclass(frozen=True)
-class MetricsConfig:
-    """Evaluation knobs; translation defaults to the magnitude series.
-
-    ``block_size`` sets the flow blocks of the stability motion series.
-    """
-
-    translation_mode: str = "magnitude"
-    block_size: int = 16
-
-    def __post_init__(self) -> None:
-        if self.translation_mode not in ("magnitude", "separate"):
-            raise InvalidSpecError(
-                f"translation_mode must be magnitude or separate, "
-                f"got {self.translation_mode!r}"
-            )
-
-
 def pair_motion_series(
-    frames: list[np.ndarray], block_size: int
+    frames: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Per-pair (tx, ty, theta) series measured from the frames.
 
@@ -283,7 +269,7 @@ def pair_motion_series(
 
     try:
         stack = stack_frames(frames)
-        flows = compute_flow(stack[:-1], stack[1:], block_size=block_size)
+        flows = compute_flow(stack[:-1], stack[1:], block_size=BLOCK_SIZE)
     except MeasurementError as exc:
         # A check on the frames, not on one pair, failed.
         results = [untrackable(i, exc) for i in range(n_pairs)]
@@ -300,15 +286,13 @@ def pair_motion_series(
     return tx, ty, theta, [w for _, w in results if w is not None]
 
 
-def video_stability(
-    frames: list[np.ndarray], cfg: MetricsConfig
-) -> tuple[float, float, float, list[str]]:
-    """(translation score, rotation score, average, warnings)."""
-    tx, ty, theta, warnings = pair_motion_series(frames, cfg.block_size)
-    if cfg.translation_mode == "magnitude":
-        s_tr = stability_score(np.hypot(tx, ty))
-    else:
-        s_tr = 0.5 * (stability_score(tx) + stability_score(ty))
+def video_stability(frames: list[np.ndarray]) -> tuple[float, float, float, list[str]]:
+    """(translation score, rotation score, average, warnings).
+
+    Translation is scored on the magnitude series ``hypot(tx, ty)``.
+    """
+    tx, ty, theta, warnings = pair_motion_series(frames)
+    s_tr = stability_score(np.hypot(tx, ty))
     s_rot = stability_score(theta)
     return s_tr, s_rot, 0.5 * (s_tr + s_rot), warnings
 
@@ -332,7 +316,7 @@ def _center_crop(frame: np.ndarray, height: int, width: int) -> np.ndarray:
 def _distortion_ratio(cropped: np.ndarray, stab: np.ndarray, flow: FlowField) -> float:
     """Singular-value ratio of the map fitted from ``cropped`` to ``stab``."""
     src, dst = _flow_correspondences(flow)
-    src, dst = _refine_correspondences(cropped, stab, src, dst, DISTORTION_BLOCK_SIZE)
+    src, dst = _refine_correspondences(cropped, stab, src, dst, BLOCK_SIZE)
     hom = estimate_homography_trimmed(src, dst)
     resid = np.hypot(*(apply_homography(hom, src) - dst).T)
     med_resid = float(np.nanmedian(resid))
@@ -391,7 +375,7 @@ def distortion_score(
             flows = compute_flow(
                 stack_frames(crops),
                 stack_frames(stabs),
-                block_size=DISTORTION_BLOCK_SIZE,
+                block_size=BLOCK_SIZE,
                 max_sad_per_pixel=120.0,
             )
         except MeasurementError as exc:
@@ -478,10 +462,8 @@ def evaluate(
     stabilized: list[np.ndarray],
     applied: list[AffineParams],
     crop: CropWindow,
-    cfg: MetricsConfig | None = None,
 ) -> MetricsReport:
     """Full metrics comparing a stabilized video against its source."""
-    cfg = cfg or MetricsConfig()
     warnings: list[str] = []
     if len(stabilized) != len(original) or len(stabilized) < 2:
         raise MeasurementError(
@@ -491,9 +473,9 @@ def evaluate(
         raise MeasurementError(
             f"{len(applied)} applied transforms for {len(stabilized)} frames"
         )
-    s_tr, s_rot, s_avg, w = video_stability(stabilized, cfg)
+    s_tr, s_rot, s_avg, w = video_stability(stabilized)
     warnings.extend(f"stabilized: {msg}" for msg in w)
-    o_tr, o_rot, o_avg, w = video_stability(original, cfg)
+    o_tr, o_rot, o_avg, w = video_stability(original)
     warnings.extend(f"original: {msg}" for msg in w)
     try:
         distortion, w = distortion_score(original, stabilized)

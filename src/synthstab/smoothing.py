@@ -159,7 +159,16 @@ def smooth_trajectory(
     ``corrections``, where ``corrections[i]`` is the similarity taking
     the raw pose at pair ``i`` to the smoothed pose (the per-frame warp
     the stabilizer applies), and the window used (0 when unsmoothed).
+
+    ``window`` and ``polyorder`` are checked whatever the path length:
+    raises :class:`InvalidSpecError`, naming the given values, when
+    ``polyorder`` is negative or the largest odd window not above
+    ``window`` is smaller than ``polyorder + 1``.
     """
+    if polyorder < 0:
+        raise InvalidSpecError(f"polyorder must be >= 0, got {polyorder}")
+    if smoothing_window(window, window) < polyorder + 1:
+        raise InvalidSpecError(f"window {window} too small for polyorder {polyorder}")
     smoothed = raw.copy()
     used = 0
     if raw.shape[1] >= 3:

@@ -51,7 +51,7 @@ def test_generate_into_non_empty_dir_needs_force(tmp_path):
     out.mkdir()
     (out / "keep.txt").write_text("x", encoding="utf-8")
     args = ["generate", "--config", _tiny_config(tmp_path), "--out", str(out)]
-    assert cli.run(args) == cli.EXIT_VALIDATION
+    assert cli.run(args) == errors.InvalidSpecError.exit_code
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
@@ -59,13 +59,14 @@ def test_generate_into_non_empty_dir_needs_force(tmp_path):
 def test_generate_rejects_fewer_than_one_layer(tmp_path, n_layers):
     out = tmp_path / "out"
     args = ["generate", "--config", _tiny_config(tmp_path), "--n-layers", n_layers]
-    assert cli.run(args + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert cli.run(args + ["--out", str(out)]) == errors.InvalidSpecError.exit_code
     assert not out.exists()
 
 
 def test_missing_config_is_an_io_error(tmp_path):
     missing = str(tmp_path / "missing.cfg")
-    assert cli.run(["generate", "--config", missing, "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+    argv = ["generate", "--config", missing, "--out", str(tmp_path / "out")]
+    assert cli.run(argv) == errors.IoFailureError.exit_code
 
 
 def _shared_at(position, shared, rest, command="generate"):
@@ -88,9 +89,9 @@ def test_seed_is_honoured_in_either_position(tmp_path, capsys, position):
 @pytest.mark.parametrize("command, rest", [("stabilize", ["--input"]), ("evaluate", ["--batch"])])
 @pytest.mark.parametrize("position", ["before", "after"])
 def test_seed_is_rejected_where_nothing_reads_it(tmp_path, capsys, position, command, rest):
-    # A missing input alone would exit with EXIT_IO.
+    # A missing input alone would raise an IoFailureError.
     argv = _shared_at(position, ["--seed", "3"], rest + [str(tmp_path / "missing")], command)
-    assert cli.run(argv) == cli.EXIT_VALIDATION
+    assert cli.run(argv) == errors.InvalidSpecError.exit_code
     assert f"{command} takes no --seed" in capsys.readouterr().err
 
 
@@ -98,7 +99,7 @@ def test_seed_is_rejected_where_nothing_reads_it(tmp_path, capsys, position, com
 def test_missing_config_is_an_io_error_in_either_position(tmp_path, position):
     missing = str(tmp_path / "missing.cfg")
     argv = _shared_at(position, ["--config", missing], ["--out", str(tmp_path / "out")])
-    assert cli.run(argv) == cli.EXIT_IO
+    assert cli.run(argv) == errors.IoFailureError.exit_code
 
 
 @pytest.mark.parametrize("position", ["before", "after"])
@@ -116,7 +117,8 @@ def test_config_key_the_command_does_not_read_is_rejected(tmp_path, capsys, line
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"n_videos=1\nwidth=64\nheight=64\n{line}\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert cli.run(["generate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VALIDATION
+    argv = ["generate", "--config", str(cfg), "--out", str(out)]
+    assert cli.run(argv) == errors.InvalidSpecError.exit_code
     captured = capsys.readouterr()
     assert line.split("=")[0] in captured.err
     assert captured.out == ""
@@ -129,11 +131,11 @@ def _run_ok(argv, capsys):
     return capsys.readouterr().out.splitlines()
 
 
-def _stabilized(video_dir, backend):
+def _stabilized(video_dir, backend, weights=None):
     """The library's stabilization of a video directory."""
     video = ds.read_video_dir(str(video_dir))
     marks = video.marks if backend == "oracle" else None
-    est, _ = estimate_sequence(video.frames, backend, marks=marks)
+    est, _ = estimate_sequence(video.frames, backend, marks=marks, weights=weights)
     return video, stabilize_video(video.frames, est)
 
 
@@ -144,18 +146,14 @@ def _library_report(path, video, result):
 
 def test_round_trip_matches_the_library(tmp_path, capsys):
     gen_cfg = tmp_path / "gen.cfg"
-    gen_cfg.write_text(
-        "n_videos=2\nn_frames=12\nwidth=64\nheight=64\nmark_points=6\n", encoding="utf-8"
-    )
+    gen_cfg.write_text("n_videos=2\nn_frames=12\nwidth=64\nheight=64\n", encoding="utf-8")
     data, ref = tmp_path / "data", tmp_path / "ref"
     _run_ok(["generate", "--config", gen_cfg, "--texture", "random", "--out", data], capsys)
-    want = GenerateConfig(
-        n_videos=2, n_frames=12, width=64, height=64, mark_points=6, texture_style="random"
-    )
+    want = GenerateConfig(n_videos=2, n_frames=12, width=64, height=64, texture_style="random")
     generate_dataset(str(ref), want)
     assert _files(data) == _files(ref)
     # Each key changes the output, so the equality above shows that it arrived.
-    for field, changed in (("mark_points", "marks.txt"), ("texture_style", ds.FRAME_PATTERN % 1)):
+    for field, changed in (("texture_style", ds.FRAME_PATTERN % 1),):
         other = tmp_path / field
         generate_dataset(str(other), replace(want, **{field: getattr(GenerateConfig(), field)}))
         rel = f"video_000/{changed}"
@@ -163,29 +161,27 @@ def test_round_trip_matches_the_library(tmp_path, capsys):
 
     train_cfg = tmp_path / "train.cfg"
     train_cfg.write_text(
-        "n_pairs=8\nbatch_size=4\nepochs_tr=1\nepochs_rs=1\ninput_side=16\nadam_eps=1e-07\n",
-        encoding="utf-8",
+        "n_pairs=8\nbatch_size=4\nepochs_tr=1\nepochs_rs=1\ninput_side=16\n", encoding="utf-8"
     )
     weights = tmp_path / "w.bin"
-    _run_ok(["train", "--config", train_cfg, "--no-flow-channel", "--out", weights], capsys)
+    _run_ok(["train", "--config", train_cfg, "--out", weights], capsys)
     meta = (tmp_path / "w.bin.meta").read_text(encoding="utf-8").splitlines()
-    assert "adam_eps=1e-07" in meta and "use_flow=False" in meta
+    assert "batch_size=4" in meta and "input_side=16" in meta
 
     # Defaults spelled out; weights is read, and ignored, by every backend.
     stab_cfg = tmp_path / "stab.cfg"
     stab_cfg.write_text("crop=0.8\nweights=unused.bin\n", encoding="utf-8")
-    eval_cfg = tmp_path / "eval.cfg"
-    eval_cfg.write_text("translation_mode=magnitude\nmetric_block_size=16\n", encoding="utf-8")
     video_dir = data / "video_000"
-    for backend in ("oracle", "blockmatch"):
+    for backend in ("oracle", "blockmatch", "learned"):
         out, report = tmp_path / backend, tmp_path / f"{backend}_report.txt"
         argv = ["stabilize", "--config", stab_cfg, "--input", video_dir, "--backend", backend]
+        if backend == "learned":
+            argv += ["--weights", weights]
         lines = _run_ok(argv + ["--out", out], capsys)
-        argv = ["evaluate", "--config", eval_cfg, "--original", video_dir, "--stabilized", out]
-        argv += ["--report", report]
+        argv = ["evaluate", "--original", video_dir, "--stabilized", out, "--report", report]
         lines += _run_ok(argv, capsys)
         assert not any(ln.startswith("seed:") for ln in lines)
-        video, result = _stabilized(video_dir, backend)
+        video, result = _stabilized(video_dir, backend, str(weights))
         ds.write_params_file(str(tmp_path / "applied.txt"), result.applied)
         applied = (out / "applied_transforms.txt").read_bytes()
         assert applied == (tmp_path / "applied.txt").read_bytes()
@@ -281,18 +277,57 @@ def test_corrupt_video_directory_is_an_io_error(tmp_path, capsys, command, corru
         argv = ["evaluate", "--original", video_dir, "--stabilized", video_dir / "stabilized"]
     else:
         argv = ["stabilize", "--force", "--input", video_dir, "--backend", "oracle"]
-    assert cli.run([str(a) for a in argv]) == cli.EXIT_IO
+    assert cli.run([str(a) for a in argv]) == errors.IoFailureError.exit_code
     captured = capsys.readouterr()
     assert captured.err.startswith("io error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("train", "--no-flow-channel"),
+        ("stabilize", "--no-flow-channel"),
+        ("evaluate", "--translation-mode"),
+        ("generate", "mark_points=6"),
+        ("train", "no_flow_channel=1"),
+        ("train", "adam_eps=1e-07"),
+        ("train", "max_translation=4.0"),
+        ("stabilize", "no_flow_channel=1"),
+        ("evaluate", "translation_mode=magnitude"),
+        ("evaluate", "metric_block_size=16"),
+    ],
+)
+def test_removed_option_exits_2_and_names_itself(tmp_path, capsys, command, option):
+    out = tmp_path / "out"
+    argv = [command] + {
+        "generate": ["--out", out],
+        "train": ["--out", out],
+        "stabilize": ["--input", tmp_path / "missing", "--out", out],
+        "evaluate": ["--batch", tmp_path / "missing"],
+    }[command]
+    if option.startswith("--"):
+        argv += [option] + (["magnitude"] if option == "--translation-mode" else [])
+        with pytest.raises(SystemExit) as info:
+            cli.run([str(a) for a in argv])
+        code = info.value.code
+    else:
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(option + "\n", encoding="utf-8")
+        code = cli.run([str(a) for a in argv + ["--config", cfg]])
+    # argparse's usage error and InvalidSpecError share exit code 2.
+    assert code == 2
+    captured = capsys.readouterr()
+    assert option.split("=")[0] in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_bad_translation_mode_is_a_validation_error(tmp_path, capsys):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("translation_mode=foo\n", encoding="utf-8")
-    # Missing directories alone would exit with EXIT_IO.
+    # Missing directories alone would raise an IoFailureError.
     missing = str(tmp_path / "missing")
     argv = ["evaluate", "--config", str(cfg), "--original", missing, "--stabilized", missing]
-    assert cli.run(argv) == cli.EXIT_VALIDATION
+    assert cli.run(argv) == errors.InvalidSpecError.exit_code
     assert "translation_mode" in capsys.readouterr().err
 
 
@@ -335,7 +370,7 @@ def _short_clip(tmp_path, capsys, n_frames):
 def test_too_short_clip_is_an_evaluation_error_or_a_nan_row(tmp_path, capsys):
     data, video_dir = _short_clip(tmp_path, capsys, 6)
     argv = ["evaluate", "--original", video_dir, "--stabilized", video_dir / "stabilized"]
-    assert cli.run([str(a) for a in argv]) == cli.EXIT_EVALUATION
+    assert cli.run([str(a) for a in argv]) == errors.MeasurementError.exit_code
     captured = capsys.readouterr()
     assert captured.err == "evaluation error: stability needs at least 8 samples, got 5\n"
     assert captured.out == ""
@@ -360,3 +395,25 @@ def test_stabilize_report_records_the_window_used(tmp_path, capsys):
     (tmp_path / "two").mkdir()
     _, video_dir = _short_clip(tmp_path / "two", capsys, 2)
     assert _report_window(video_dir, "stabilized") == ["window: 0"]
+
+
+def test_negative_polyorder_is_rejected_on_a_path_too_short_to_smooth(tmp_path, capsys):
+    _, video_dir = _short_clip(tmp_path, capsys, 2)
+    argv = ["stabilize", "--input", video_dir, "--backend", "oracle", "--out", video_dir / "bad"]
+    argv += ["--window", "0", "--polyorder", "-1"]
+    assert cli.run([str(a) for a in argv]) == errors.InvalidSpecError.exit_code
+    captured = capsys.readouterr()
+    assert captured.err == "error: polyorder must be >= 0, got -1\n" and captured.out == ""
+    assert not (video_dir / "bad").exists()
+
+
+# An even window smooths with the odd one below it: 2 with 1.
+@pytest.mark.parametrize("window", ["0", "2"])
+def test_too_small_window_is_named_as_given(tmp_path, capsys, window):
+    _, video_dir = _short_clip(tmp_path, capsys, 24)
+    argv = ["stabilize", "--input", video_dir, "--backend", "oracle", "--out", video_dir / "bad"]
+    argv += ["--window", window]
+    assert cli.run([str(a) for a in argv]) == errors.InvalidSpecError.exit_code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: window {window} too small for polyorder 1\n"
+    assert captured.out == ""

@@ -5,25 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from synthstab import cli
 from synthstab.affine import AffineParams
 from synthstab.cnn import ConvRegressor, NetworkShape, load_tensors, save_tensors
 from synthstab.errors import IoFailureError, MeasurementError
-from synthstab.estimator import LearnedEstimator, estimate_sequence
+from synthstab.estimator import INPUT_CHANNELS, LearnedEstimator, estimate_sequence
 
 SIDE = 16
 
 
-def untrained_tensors() -> dict[str, np.ndarray]:
-    """A complete weights set for two untrained frame-only regressors."""
+def untrained_tensors(in_channels: int = INPUT_CHANNELS) -> dict[str, np.ndarray]:
+    """A complete weights set for two untrained regressors."""
     tensors: dict[str, np.ndarray] = {}
     for prefix in ("tr", "rs"):
-        net = ConvRegressor(NetworkShape(in_channels=2, input_side=SIDE, dropout_rate=0.0))
+        net = ConvRegressor(
+            NetworkShape(in_channels=in_channels, input_side=SIDE, dropout_rate=0.0)
+        )
         for name in net.param_names():
             tensors[f"{prefix}_{name}"] = net.params[name]
         tensors[f"{prefix}_target_mean"] = np.array([0.0, 1.0])
         tensors[f"{prefix}_target_std"] = np.array([1.0, 0.01])
     tensors["meta_input_side"] = np.array([float(SIDE)])
-    tensors["meta_use_flow"] = np.array([0.0])
     return tensors
 
 
@@ -73,3 +75,31 @@ def test_load_tensors_rejects_non_finite(tmp_path, bad):
         load_tensors(path)
     with pytest.raises(IoFailureError):
         estimate_sequence(_frames(), "learned", weights=path)
+
+
+def test_weights_with_the_old_flow_flag_load_and_estimate_alike(tmp_path):
+    # Weights files of earlier versions carry a ``meta_use_flow`` tensor.
+    tensors = untrained_tensors()
+    old, new = str(tmp_path / "old.bin"), str(tmp_path / "new.bin")
+    save_tensors(old, {**tensors, "meta_use_flow": np.array([1.0])})
+    save_tensors(new, tensors)
+    assert "meta_use_flow" in load_tensors(old)
+    assert estimate_sequence(_frames(), "learned", weights=old) == estimate_sequence(
+        _frames(), "learned", weights=new
+    )
+
+
+def test_two_channel_weights_are_an_io_error(tmp_path, capsys):
+    weights = tmp_path / "w2.bin"
+    save_tensors(str(weights), untrained_tensors(in_channels=2))
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("n_videos=1\nn_frames=4\nwidth=32\nheight=32\n", encoding="utf-8")
+    assert cli.run(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    video_dir = tmp_path / "data" / "video_000"
+    argv = ["stabilize", "--input", video_dir, "--backend", "learned", "--weights", weights]
+    assert cli.run([str(a) for a in argv]) == IoFailureError.exit_code
+    err = capsys.readouterr().err
+    assert err == (
+        "io error: tensor tr_conv1_w has shape (16, 2, 3, 3), expected (16, 4, 3, 3)\n"
+    )
+    assert not (video_dir / "stabilized").exists()

@@ -1,4 +1,5 @@
-"""Tests for the flow loops that run frame pairs in parallel, as one stack.
+"""Tests for the callers that compute the flow of many frame pairs in one
+stacked ``compute_flow`` call.
 
 Every stacked result is compared with its serial reference: the same
 work done one pair at a time, in order.
@@ -13,7 +14,12 @@ from synthstab import estimator, metrics, stabilizer
 from synthstab.affine import AffineParams
 from synthstab.errors import SynthStabError
 from synthstab.cnn import ConvRegressor, NetworkShape
-from synthstab.estimator import BlockMatchEstimator, LearnedEstimator, estimate_sequence
+from synthstab.estimator import (
+    INPUT_CHANNELS,
+    BlockMatchEstimator,
+    LearnedEstimator,
+    estimate_sequence,
+)
 from synthstab.flow import FlowField
 from synthstab.generate import GenerateConfig, make_video
 
@@ -86,18 +92,16 @@ def test_blockmatch_frames_smaller_than_a_block_fail_every_pair():
 
 
 def _flow_regressors(side=16):
-    """A learned backend with flow channels and untrained weights."""
+    """A learned backend with untrained weights."""
     tensors = {}
     for prefix, seed in (("tr", 1), ("rs", 2)):
-        net = ConvRegressor(
-            NetworkShape(in_channels=4, input_side=side, dropout_rate=0.0), seed=seed
-        )
+        shape = NetworkShape(in_channels=INPUT_CHANNELS, input_side=side, dropout_rate=0.0)
+        net = ConvRegressor(shape, seed=seed)
         for name in net.param_names():
             tensors[f"{prefix}_{name}"] = net.params[name]
         tensors[f"{prefix}_target_mean"] = np.array([0.5, 1.0])
         tensors[f"{prefix}_target_std"] = np.array([2.0, 0.01])
     tensors["meta_input_side"] = np.array([float(side)])
-    tensors["meta_use_flow"] = np.array([1.0])
     return LearnedEstimator(tensors)
 
 
