@@ -273,10 +273,12 @@ class LearnedEstimator:
     """
 
     def __init__(self, tensors: dict[str, np.ndarray]) -> None:
-        try:
-            self.input_side = int(tensors["meta_input_side"][0])
-        except KeyError as exc:
-            raise IoFailureError(f"weights file missing tensor {exc}") from exc
+        def tensor(key: str) -> np.ndarray:
+            if key not in tensors:
+                raise IoFailureError(f"weights file missing tensor {key}")
+            return tensors[key]
+
+        self.input_side = int(tensor("meta_input_side")[0])
         self.nets: dict[str, ConvRegressor] = {}
         self.norms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for prefix in ("tr", "rs"):
@@ -286,9 +288,7 @@ class LearnedEstimator:
             net = ConvRegressor(shape, seed=0)
             for pname in net.param_names():
                 key = f"{prefix}_{pname}"
-                if key not in tensors:
-                    raise IoFailureError(f"weights file missing tensor {key}")
-                if tensors[key].shape != net.params[pname].shape:
+                if tensor(key).shape != net.params[pname].shape:
                     raise IoFailureError(
                         f"tensor {key} has shape {tensors[key].shape}, "
                         f"expected {net.params[pname].shape}"
@@ -296,8 +296,8 @@ class LearnedEstimator:
                 net.params[pname] = tensors[key].copy()
             self.nets[prefix] = net
             self.norms[prefix] = (
-                tensors[f"{prefix}_target_mean"].copy(),
-                tensors[f"{prefix}_target_std"].copy(),
+                tensor(f"{prefix}_target_mean").copy(),
+                tensor(f"{prefix}_target_std").copy(),
             )
 
     @classmethod

@@ -1,4 +1,5 @@
-"""Every name a ``synthstab`` module imports is used in that module.
+"""Every name a ``synthstab`` module imports is used in that module,
+and the package needs nothing at run time but numpy.
 
 No linter ships with the project, so this parses the sources with
 ``ast`` instead.
@@ -7,6 +8,9 @@ No linter ships with the project, so this parses the sources with
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -125,3 +129,29 @@ def test_no_top_level_name_is_dead():
         if p.parent != PACKAGE
     ]
     assert dead_names(modules, others) == []
+
+
+# ---------------------------------------------------------------------------
+# Run-time dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, synthstab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["dev"])

@@ -89,17 +89,36 @@ def test_weights_with_the_old_flow_flag_load_and_estimate_alike(tmp_path):
     )
 
 
-def test_two_channel_weights_are_an_io_error(tmp_path, capsys):
-    weights = tmp_path / "w2.bin"
-    save_tensors(str(weights), untrained_tensors(in_channels=2))
+def _stabilize_learned(tmp_path, tensors):
+    """Exit code and stderr of ``stabilize --backend learned`` with the
+    weights ``tensors`` on a generated clip, and the clip's directory."""
+    weights = tmp_path / "w.bin"
+    save_tensors(str(weights), tensors)
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("n_videos=1\nn_frames=4\nwidth=32\nheight=32\n", encoding="utf-8")
     assert cli.run(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
     video_dir = tmp_path / "data" / "video_000"
     argv = ["stabilize", "--input", video_dir, "--backend", "learned", "--weights", weights]
-    assert cli.run([str(a) for a in argv]) == IoFailureError.exit_code
+    return cli.run([str(a) for a in argv]), video_dir
+
+
+def test_two_channel_weights_are_an_io_error(tmp_path, capsys):
+    code, video_dir = _stabilize_learned(tmp_path, untrained_tensors(in_channels=2))
+    assert code == IoFailureError.exit_code
     err = capsys.readouterr().err
     assert err == (
         "io error: tensor tr_conv1_w has shape (16, 2, 3, 3), expected (16, 4, 3, 3)\n"
     )
+    assert not (video_dir / "stabilized").exists()
+
+
+@pytest.mark.parametrize(
+    "missing", ["rs_target_std", "tr_target_mean", "meta_input_side", "rs_fc3_b"]
+)
+def test_missing_tensor_is_an_io_error_naming_it(tmp_path, capsys, missing):
+    tensors = untrained_tensors()
+    del tensors[missing]
+    code, video_dir = _stabilize_learned(tmp_path, tensors)
+    assert code == IoFailureError.exit_code
+    assert capsys.readouterr().err == f"io error: weights file missing tensor {missing}\n"
     assert not (video_dir / "stabilized").exists()

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
 from synthstab.affine import AffineParams
 from synthstab.errors import InvalidSpecError
@@ -188,6 +189,23 @@ def test_envelope_ordering_and_knot_interpolation():
     for i in both:
         assert up[i] == pytest.approx(x[i], abs=1e-9)
         assert lo[i] == pytest.approx(x[i], abs=1e-9)
+
+
+@pytest.mark.parametrize("n_knots", [*range(3, 31), 400])
+def test_quadratic_envelope_spline_matches_scipy(n_knots):
+    # Knots are sample indices that include both ends, as find_extrema
+    # returns them; scipy's not-a-knot quadratic is the oracle.  The
+    # 400-knot case checks the unpivoted tridiagonal solve on a long path.
+    rng = np.random.default_rng(n_knots)
+    size = n_knots + int(rng.integers(0, 80))
+    inner = np.sort(rng.choice(np.arange(1, size - 1), n_knots - 2, replace=False))
+    knots = np.concatenate([[0], inner, [size - 1]])
+    signal = rng.normal(0.0, 50.0, size)
+    want = make_interp_spline(knots.astype(np.float64), signal[knots], k=2)(
+        np.arange(size, dtype=np.float64)
+    )
+    got = smoothing._interpolate_knots(signal, knots)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(signal[knots]).max())
 
 
 def test_envelope_mean_tracks_oscillation_center():

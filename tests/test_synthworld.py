@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
+from scipy.ndimage import uniform_filter
 
+from synthstab import synthworld
 from synthstab.affine import apply_transform, params_to_matrix
 from synthstab.errors import InvalidSpecError, MeasurementError
 from synthstab.estimator import estimate_sequence
 from synthstab.synthworld import (
+    MARK_BETA_FRAMES,
     MARK_DTYPE,
+    MARK_PERIOD,
     TEXTURE_STYLES,
     CameraPose,
     NoiseProfile,
@@ -101,6 +106,18 @@ def test_overlay_layers_have_partial_alpha():
     assert overlay_alpha.max() > 0.0
 
 
+@pytest.mark.parametrize(
+    "shape", [(13, 13), (64, 64), (512, 512), (37, 100), (100, 37), (13, 515), (515, 13)]
+)
+@pytest.mark.parametrize("radius", [1, 6])
+def test_box_blur_is_bitwise_scipy_uniform_filter(shape, radius):
+    img = np.random.default_rng(radius).uniform(0.0, 1.0, shape)
+    want = uniform_filter(img, size=2 * radius + 1, mode="wrap")
+    got = synthworld._box_blur(img, radius)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Camera paths
 # ---------------------------------------------------------------------------
@@ -114,6 +131,36 @@ def test_smooth_pose_constant_velocity_exact():
         assert pose.cy == pytest.approx(-5.0 - 0.4 * t, abs=1e-12)
         assert pose.theta == 0.0
         assert pose.zoom == 1.0
+
+
+@pytest.mark.parametrize("n_knots", range(3, 31))
+def test_wander_spline_matches_scipy_natural_cubic(n_knots):
+    # Waypoints and spacing drawn as random_smooth_path draws them.
+    rng = np.random.default_rng(n_knots)
+    spacing = rng.uniform(30.0, 55.0)
+    values = tuple(rng.uniform(-25.0, 25.0, n_knots))
+    knots = np.arange(n_knots) * spacing
+    times = np.concatenate([knots, rng.uniform(0.0, knots[-1], 40)])
+    want = make_interp_spline(knots, np.array(values), k=3, bc_type="natural")(times)
+    got = [synthworld._natural_cubic(values, spacing, float(t)) for t in times]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_wander_spline_is_solved_once_per_path():
+    spec = SmoothPathSpec(
+        start_x=250.0,
+        start_y=250.0,
+        wander_x=(0.0, 12.0, -8.0, 20.0, 3.0),
+        wander_y=(5.0, -15.0, 10.0, -2.0),
+        wander_spacing=30.0,
+    )
+    synthworld._natural_moments.cache_clear()
+    smooth, _ = generate_camera_path(spec, NoiseProfile.still(), 150)
+    info = synthworld._natural_moments.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 150 - 2)
+    # Past the last waypoint the offset holds its final value.
+    assert smooth[-1].cx == pytest.approx(250.0 + 3.0, abs=1e-12)
+    assert smooth[-1].cy == pytest.approx(250.0 - 2.0, abs=1e-12)
 
 
 def test_still_profile_adds_no_shake():
@@ -257,7 +304,7 @@ def test_marks_uid_contiguous_and_bounded_lifetime():
     for uid in np.unique(marks["uid"]):
         frames = marks["frame"][marks["uid"] == uid]
         np.testing.assert_array_equal(frames, np.arange(frames[0], frames[0] + len(frames)))
-        assert len(frames) <= 24
+        assert len(frames) <= MARK_BETA_FRAMES
 
 
 def test_marks_sorted_by_frame_then_uid():
@@ -272,8 +319,8 @@ def test_marks_fresh_uids_each_sampling_period():
     _, shaky, marks = make_marks()
     _, first = np.unique(marks["uid"], return_index=True)
     birth_frames = set(marks["frame"][first].tolist())
-    assert birth_frames <= {0, 12, 24, 36}
-    assert 0 in birth_frames and 12 in birth_frames
+    assert birth_frames <= set(range(0, 40, MARK_PERIOD))
+    assert 0 in birth_frames and MARK_PERIOD in birth_frames
 
 
 def test_marks_deterministic():
@@ -345,8 +392,5 @@ def test_pair_correspondences_match_a_uid_lookup():
 
 def test_emit_mark_points_validation():
     scene = build_scene(SceneSpec(seed=19))
-    pose = CameraPose(250.0, 250.0, 0.0, 1.0)
-    with pytest.raises(InvalidSpecError):
-        emit_mark_points(scene, [pose], k_points=0)
     with pytest.raises(InvalidSpecError):
         emit_mark_points(scene, [])
