@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
@@ -116,6 +118,130 @@ def test_box_blur_is_bitwise_scipy_uniform_filter(shape, radius):
     got = synthworld._box_blur(img, radius)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+# Texture canvases pinned by the sha256 of their float64 bytes, with the
+# generator's next draw after the builder.  The frame pins of
+# test_generate.py quantize to uint8, so a texture that drifts by an ulp
+# without moving a pixel across a rounding boundary passes there and
+# fails here.  "overlay" pins the color and then the alpha canvas of
+# ``_overlay_layer``.
+PINNED_TEXTURES = {
+    ("checker", 0): (
+        (
+            "670c2753c770d8b5188bd54b8effb2cfc157b54712ac790b548df7535c7e1a1e",
+        ),
+        0.6066357757671799,
+    ),
+    ("checker", 5): (
+        (
+            "b6390c289e12b4b683fdf55769b550ab36a064557f8c2564318fe2f7daa4813e",
+        ),
+        0.40847320541999865,
+    ),
+    ("checker", 11): (
+        (
+            "ee9b0374af3cfbdeb2b02dfdd64a8eb41abdd56dd1c11ca482317a83a4ccaea5",
+        ),
+        0.07042057615419683,
+    ),
+    ("noise", 0): (
+        (
+            "7b916d595311a0554e37f272f3488b4edf8e4313a379a0ad6117cb076b511d78",
+        ),
+        0.7703714729743851,
+    ),
+    ("noise", 5): (
+        (
+            "92e2164b986f590e43350c9cad6440dadd96fabf3b63232ccb1f56730be6b618",
+        ),
+        0.17291071977990802,
+    ),
+    ("noise", 11): (
+        (
+            "8b5f57c8f2bef5ce8c17da648e0d0c250404e5f0886ff1b9f0d432c15dd46a69",
+        ),
+        0.98222582682375,
+    ),
+    ("blobs", 0): (
+        (
+            "9b20acad1ca463d9673e94ed086dbaa101bad08678cb36c15b9e5bf5688ef4a8",
+        ),
+        0.6877254468463578,
+    ),
+    ("blobs", 5): (
+        (
+            "2c4f690e561fb0a7ff488b567194954bd9f3baaa9c6a20f5061f79c3e90d1efe",
+        ),
+        0.8042043684367362,
+    ),
+    ("blobs", 11): (
+        (
+            "ee6ffb8ab4819c0c65f5872eea2ddd202af1ed9de3668c8f546c7f00db3abc15",
+        ),
+        0.6948289190372122,
+    ),
+    ("mixed", 0): (
+        (
+            "d84f45d6975ba195825f5eb522099c9e9c799a36f64677b44501351b9ad024f9",
+        ),
+        0.20776270910939687,
+    ),
+    ("mixed", 5): (
+        (
+            "f0ef528cd1e3794c1bade99100f7e67a4fd4a7cf2f6573f3b896b60b8d93183e",
+        ),
+        0.40721644937453616,
+    ),
+    ("mixed", 11): (
+        (
+            "50c9df20da2cb496b30ce1adb5a32b794d6f7eb647f8e39f50cb45b1fccf77b7",
+        ),
+        0.5525960712370883,
+    ),
+    ("overlay", 0): (
+        (
+            "57bee2911a1f901f89cebb669f3eb07c086e31a9027119a38a299e020487d613",
+            "5d8fa340b6ae93cb6387bf4a2f15eac2eb665f47fa311d660dfb2f3438c11e51",
+        ),
+        0.6510751442785877,
+    ),
+    ("overlay", 5): (
+        (
+            "cb07916e2e26bf91d3340d8f9f8f1b615a3cb53dce498f28d124356e73d1cfbc",
+            "bb67a45c2a25887b25978d160ca726e78af4ee8ef70433bd202ddf804e146ce2",
+        ),
+        0.27834966021660734,
+    ),
+    ("overlay", 11): (
+        (
+            "049516a4c849b4fffec9f2cee12ba22787ca4419de0900994cf703289df9203d",
+            "b834d6d4a72cdaa2888f0620d58afe5cad43c7fa26d328b946c24512885132fd",
+        ),
+        0.24513293340422426,
+    ),
+}
+
+
+def _texture_canvases(name: str, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    if name == "overlay":
+        return synthworld._overlay_layer(rng, 512)
+    return (synthworld._TEXTURE_BUILDERS[name](rng, 512),)
+
+
+def test_pinned_textures_cover_every_builder():
+    names = {name for name, _ in PINNED_TEXTURES}
+    assert names == set(synthworld._TEXTURE_BUILDERS) | {"overlay"}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_TEXTURES))
+def test_texture_canvases_are_pinned(name, seed):
+    rng = np.random.default_rng(seed)
+    canvases = _texture_canvases(name, rng)
+    digests, next_draw = PINNED_TEXTURES[name, seed]
+    assert all(c.dtype == np.float64 and c.shape == (512, 512) for c in canvases)
+    assert tuple(hashlib.sha256(c.tobytes()).hexdigest() for c in canvases) == digests
+    assert rng.random() == next_draw
 
 
 # ---------------------------------------------------------------------------
