@@ -19,6 +19,12 @@ Only numpy is needed.  The texture box blur is bitwise equal to
 ``scipy.ndimage.uniform_filter(..., mode="wrap")`` and the wander spline
 is within 1e-12 of scipy's natural cubic ``make_interp_spline``; the
 tests hold both to scipy.
+
+The texture builders evaluate their expressions in place, in the canvas
+or patch they are building, with one rounding per operation as written
+(the expression is kept beside each in-place sequence), so every
+canvas is bit for bit the out-of-place evaluation's; the tests pin the
+canvases by hash.
 """
 
 from __future__ import annotations
@@ -242,10 +248,17 @@ def _running_mean(ext: np.ndarray, k: int, out: np.ndarray, axis: int) -> None:
 
 
 def _normalize(img: np.ndarray, lo: float = 0.05, hi: float = 0.95) -> np.ndarray:
+    """Map ``img`` linearly onto ``[lo, hi]`` in place, and return it."""
     mn, mx = img.min(), img.max()
     if mx - mn < 1e-12:
-        return np.full_like(img, (lo + hi) / 2)
-    return lo + (hi - lo) * (img - mn) / (mx - mn)
+        img.fill((lo + hi) / 2)
+        return img
+    # lo + (hi - lo) * (img - mn) / (mx - mn)
+    img -= mn
+    img *= hi - lo
+    img /= mx - mn
+    img += lo
+    return img
 
 
 def _texture_checker(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -257,19 +270,33 @@ def _texture_checker(rng: np.random.Generator, size: int) -> np.ndarray:
     jy = rng.uniform(0.0, cell)
     g0 = rng.uniform(0.1, 0.4)
     g1 = rng.uniform(0.6, 0.9)
-    iy, ix = np.indices((size, size), dtype=np.float64)
-    xr = math.cos(angle) * ix + math.sin(angle) * iy + jx
-    yr = -math.sin(angle) * ix + math.cos(angle) * iy + jy
-    parity = (np.floor(xr / cell) + np.floor(yr / cell)) % 2
-    return np.where(parity == 0, g0, g1).astype(np.float64)
+    cos_a, sin_a = math.cos(angle), math.sin(angle)
+    i = np.arange(size, dtype=np.float64)
+    # cos * x + sin * y + jx and -sin * x + cos * y + jy, for column x
+    # and row y.
+    xr = np.add.outer(sin_a * i, cos_a * i)
+    xr += jx
+    yr = np.add.outer(cos_a * i, -sin_a * i)
+    yr += jy
+    xr /= cell
+    yr /= cell
+    # (floor(xr) + floor(yr)) % 2, summed in integers.
+    parity = np.floor(xr, out=xr).astype(np.int64)
+    parity += np.floor(yr, out=yr).astype(np.int64)
+    parity &= 1
+    return np.array([g0, g1]).take(parity)
 
 
 def _texture_noise(rng: np.random.Generator, size: int) -> np.ndarray:
     # Fine grain keeps block matching well conditioned; the coarse field
     # adds structure bigger than one block.
-    fine = _box_blur(rng.uniform(0.0, 1.0, (size, size)), 1)
-    coarse = _box_blur(rng.uniform(0.0, 1.0, (size, size)), 6)
-    return _normalize(0.6 * _normalize(fine) + 0.4 * _normalize(coarse))
+    fine = _normalize(_box_blur(rng.random((size, size)), 1))
+    coarse = _normalize(_box_blur(rng.random((size, size)), 6))
+    # 0.6 * fine + 0.4 * coarse
+    fine *= 0.6
+    coarse *= 0.4
+    fine += coarse
+    return _normalize(fine)
 
 
 def _add_blobs(
@@ -279,34 +306,51 @@ def _add_blobs(
     sigma_range: tuple[float, float],
     amp_range: tuple[float, float],
 ) -> None:
+    """Add ``count`` Gaussian blobs to ``img``, one after another.
+
+    Each blob draws its centre, sigma and amplitude, in that order; one
+    ``(count, 4)`` draw yields the same doubles in the same order as
+    four scalar draws per blob.
+    """
     size = img.shape[0]
-    for _ in range(count):
-        cx = rng.uniform(0, size)
-        cy = rng.uniform(0, size)
-        sigma = rng.uniform(*sigma_range)
-        amp = rng.uniform(*amp_range)
+    lo = (0.0, 0.0, sigma_range[0], amp_range[0])
+    hi = (size, size, sigma_range[1], amp_range[1])
+    grid = np.arange(size, dtype=np.float64)
+    for cx, cy, sigma, amp in rng.uniform(lo, hi, size=(count, 4)).tolist():
         r = int(math.ceil(3 * sigma))
         x0, x1 = max(0, int(cx) - r), min(size, int(cx) + r + 1)
         y0, y1 = max(0, int(cy) - r), min(size, int(cy) + r + 1)
         if x0 >= x1 or y0 >= y1:
             continue
-        ys = np.arange(y0, y1)[:, None] - cy
-        xs = np.arange(x0, x1)[None, :] - cx
-        img[y0:y1, x0:x1] += amp * np.exp(-(xs * xs + ys * ys) / (2 * sigma * sigma))
+        ys = grid[y0:y1] - cy
+        xs = grid[x0:x1] - cx
+        # amp * exp(-(xs * xs + ys * ys) / (2 * sigma * sigma)); dividing
+        # by the negated denominator rounds exactly as negating first.
+        patch = np.add.outer(ys * ys, xs * xs)
+        patch /= -(2 * sigma * sigma)
+        np.exp(patch, out=patch)
+        patch *= amp
+        img[y0:y1, x0:x1] += patch
 
 
 def _texture_blobs(rng: np.random.Generator, size: int) -> np.ndarray:
     img = np.full((size, size), 0.08)
     count = max(16, (size * size) // 700)
     _add_blobs(img, rng, count, (2.0, 9.0), (0.3, 0.9))
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def _texture_mixed(rng: np.random.Generator, size: int) -> np.ndarray:
     noise = _texture_noise(rng, size)
     blobs = _texture_blobs(rng, size)
     checker = _texture_checker(rng, size)
-    return _normalize(0.55 * noise + 0.2 * blobs + 0.25 * checker, 0.02, 0.98)
+    # 0.55 * noise + 0.2 * blobs + 0.25 * checker
+    noise *= 0.55
+    blobs *= 0.2
+    noise += blobs
+    checker *= 0.25
+    noise += checker
+    return _normalize(noise, 0.02, 0.98)
 
 
 _TEXTURE_BUILDERS = {
@@ -322,7 +366,7 @@ def _overlay_layer(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.
     alpha = np.zeros((size, size))
     count = max(4, (size * size) // 6000)
     _add_blobs(alpha, rng, count, (5.0, 14.0), (0.8, 1.3))
-    alpha = np.clip(alpha, 0.0, 1.0)
+    np.clip(alpha, 0.0, 1.0, out=alpha)
     color = _texture_noise(rng, size)
     return color, alpha
 
