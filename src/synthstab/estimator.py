@@ -149,16 +149,37 @@ def preprocess_pair(
     fb = np.asarray(frame_b)
     if fa.shape != fb.shape or fa.ndim != 2:
         raise MeasurementError(f"bad frame pair shapes {fa.shape} vs {fb.shape}")
-    h, w = fa.shape
-    m, r = _resize_matrix(h, w, input_side)
-    ga, _ = affine_bilinear(fa.astype(np.float64) / 255.0, m, input_side, input_side)
-    gb, _ = affine_bilinear(fb.astype(np.float64) / 255.0, m, input_side, input_side)
     if flow is None:
         flow = compute_flow(fa, fb)
+    x = np.empty((INPUT_CHANNELS, input_side, input_side))
+    return x, _fill_inputs(x, fa, fb, flow)
+
+
+def _fill_inputs(x: np.ndarray, fa: np.ndarray, fb: np.ndarray, flow: FlowField) -> float:
+    """Write the network inputs of one pair into ``x``, of shape
+    (INPUT_CHANNELS, S, S), and return the translation scale factor.
+
+    An S x S frame needs no resampling: ``_resize_matrix`` is then the
+    identity, which samples every pixel at its own integer position
+    with zero weight on the neighbours and so returns each value
+    unchanged (flow components are never -0.0, whose sign a zero-weight
+    neighbour could flip).
+    """
+    side = x.shape[-1]
+    h, w = fa.shape
     du, dv = flow_to_dense(flow, h, w)
-    su, _ = affine_bilinear(du * r, m, input_side, input_side)
-    sv, _ = affine_bilinear(dv * r, m, input_side, input_side)
-    return np.stack([ga, gb, su, sv], axis=0), r
+    if h == w == side:
+        np.divide(fa, 255.0, out=x[0])
+        np.divide(fb, 255.0, out=x[1])
+        x[2] = du
+        x[3] = dv
+        return 1.0
+    m, r = _resize_matrix(h, w, side)
+    x[0], _ = affine_bilinear(fa.astype(np.float64) / 255.0, m, side, side)
+    x[1], _ = affine_bilinear(fb.astype(np.float64) / 255.0, m, side, side)
+    x[2], _ = affine_bilinear(du * r, m, side, side)
+    x[3], _ = affine_bilinear(dv * r, m, side, side)
+    return r
 
 
 def build_training_arrays(
@@ -166,25 +187,23 @@ def build_training_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network inputs plus translation and rotation/scale target rows.
 
-    The flow of every pair comes from one stacked ``compute_flow`` call.
+    The flow of every pair comes from one stacked ``compute_flow`` call,
+    and each pair's inputs are written straight into the returned
+    ``(n, INPUT_CHANNELS, S, S)`` array.
     """
     flows = compute_flow(
         stack_frames([s.frame_a for s in samples]),
         stack_frames([s.frame_b for s in samples]),
     )
-    xs = []
+    side = cfg.input_side
+    x = np.empty((len(samples), INPUT_CHANNELS, side, side))
     t_tr = []
     t_rs = []
     for p, s in enumerate(samples):
-        x, r = preprocess_pair(s.frame_a, s.frame_b, cfg.input_side, flow=flows.pair(p))
-        xs.append(x)
+        r = _fill_inputs(x[p], np.asarray(s.frame_a), np.asarray(s.frame_b), flows.pair(p))
         t_tr.append((s.params.tx * r, s.params.ty * r))
         t_rs.append((s.params.theta, s.params.s))
-    return (
-        np.stack(xs, axis=0),
-        np.array(t_tr, dtype=np.float64),
-        np.array(t_rs, dtype=np.float64),
-    )
+    return x, np.array(t_tr, dtype=np.float64), np.array(t_rs, dtype=np.float64)
 
 
 @dataclass
