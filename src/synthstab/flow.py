@@ -29,6 +29,9 @@ import numpy as np
 from .errors import InvalidSpecError, MeasurementError
 from .kernels import INVALID_SAD, sad_volume
 
+# Block side of every flow field: the default of ``compute_flow``, and
+# the side that ``metrics`` scores stability and distortion on.
+BLOCK_SIZE = 16
 TEXTURE_MIN_RANGE = 8
 QUALITY_MAX_SAD_PER_PIXEL = 40.0
 # Cap on the int16 difference temporary of one sad_volume call, in
@@ -241,7 +244,7 @@ def _match_level(
 def compute_flow(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
-    block_size: int = 16,
+    block_size: int = BLOCK_SIZE,
     search_radius: int = 4,
     levels: int = 3,
     max_sad_per_pixel: float = QUALITY_MAX_SAD_PER_PIXEL,

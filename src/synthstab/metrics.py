@@ -6,7 +6,7 @@ worst anisotropic scaling introduced by stabilization; the cropping
 ratio measures how much of the original picture survives.
 
 The stability series is fixed: per-pair motion is fitted to block flow
-on ``BLOCK_SIZE`` px blocks, and translation is scored on its
+on ``flow.BLOCK_SIZE`` px blocks, and translation is scored on its
 magnitude ``hypot(tx, ty)``, rotation on theta.  Distortion matches
 blocks of the same size.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .affine import AffineParams, invert, params_to_matrix
 from .dataset import atomic_write_text
 from .errors import MeasurementError
-from .flow import FlowField, compute_flow, stack_frames
+from .flow import BLOCK_SIZE, FlowField, compute_flow, stack_frames
 from .kernels import affine_bilinear, bilinear_sample
 from .stabilizer import CropWindow
 
@@ -33,8 +33,6 @@ RANK_RATIO_MIN = 1e-10
 # A real warp leaves median fit residuals around a few hundredths of a
 # pixel; unrelated frame content leaves them above a pixel.
 MAX_FIT_RESIDUAL = 1.0
-# Flow block side of the stability series and the distortion match.
-BLOCK_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,7 @@ def pair_motion_series(
 
     try:
         stack = stack_frames(frames)
-        flows = compute_flow(stack[:-1], stack[1:], block_size=BLOCK_SIZE)
+        flows = compute_flow(stack[:-1], stack[1:])
     except MeasurementError as exc:
         # A check on the frames, not on one pair, failed.
         results = [untrackable(i, exc) for i in range(n_pairs)]
@@ -375,7 +373,6 @@ def distortion_score(
             flows = compute_flow(
                 stack_frames(crops),
                 stack_frames(stabs),
-                block_size=BLOCK_SIZE,
                 max_sad_per_pixel=120.0,
             )
         except MeasurementError as exc:
