@@ -159,26 +159,21 @@ def _fill_inputs(x: np.ndarray, fa: np.ndarray, fb: np.ndarray, flow: FlowField)
     """Write the network inputs of one pair into ``x``, of shape
     (INPUT_CHANNELS, S, S), and return the translation scale factor.
 
-    An S x S frame needs no resampling: ``_resize_matrix`` is then the
-    identity, which samples every pixel at its own integer position
+    An S x S frame is copied, not resampled: ``_resize_matrix`` is then
+    the identity, which samples every pixel at its own integer position
     with zero weight on the neighbours and so returns each value
     unchanged (flow components are never -0.0, whose sign a zero-weight
     neighbour could flip).
     """
     side = x.shape[-1]
     h, w = fa.shape
-    du, dv = flow_to_dense(flow, h, w)
-    if h == w == side:
-        np.divide(fa, 255.0, out=x[0])
-        np.divide(fb, 255.0, out=x[1])
-        x[2] = du
-        x[3] = dv
-        return 1.0
     m, r = _resize_matrix(h, w, side)
-    x[0], _ = affine_bilinear(fa.astype(np.float64) / 255.0, m, side, side)
-    x[1], _ = affine_bilinear(fb.astype(np.float64) / 255.0, m, side, side)
-    x[2], _ = affine_bilinear(du * r, m, side, side)
-    x[3], _ = affine_bilinear(dv * r, m, side, side)
+    du, dv = flow_to_dense(flow, h, w)
+    for c, channel in enumerate((fa / 255.0, fb / 255.0, du * r, dv * r)):
+        if h == w == side:
+            x[c] = channel
+        else:
+            x[c], _ = affine_bilinear(channel, m, side, side)
     return r
 
 
