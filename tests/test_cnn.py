@@ -5,15 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synthstab import cnn
 from synthstab.cnn import ConvRegressor, NetworkShape
-from synthstab.estimator import TrainConfig, train
+from synthstab.estimator import INPUT_CHANNELS, TrainConfig, train
 from synthstab.generate import sample_random_pairs
 from synthstab.kernels import conv2d_backward, conv2d_weight_grads
 
 # ---------------------------------------------------------------------------
-# Reference: the einsum form of the backward pass
+# Reference: the einsum form of the convolutions and of the whole network
 # ---------------------------------------------------------------------------
+
+
+def einsum_conv2d_forward(xp, w, b, stride):
+    """Strided convolution of pre-padded ``xp`` as one ``einsum``."""
+    xp = np.ascontiguousarray(xp, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    kh, kw = w.shape[2], w.shape[3]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    y = np.einsum("nchwij,fcij->nfhw", win, w, optimize=True)
+    return y + b[None, :, None, None]
 
 
 def einsum_conv2d_backward(xp, w, dy, stride):
@@ -47,6 +58,70 @@ def einsum_conv2d_weight_grads(xp, dy, kh, kw, stride):
     return dw, db
 
 
+def reference_forward(net, x, dropout_mask=None):
+    """``ConvRegressor.forward`` with freshly padded inputs and einsum
+    convolutions; returns the output and the cache of
+    :func:`reference_backward`."""
+    x = np.asarray(x, dtype=np.float64)
+    cache = {"conv": [], "mask": dropout_mask}
+    a = x
+    for i in range(1, len(net.shape.conv_widths) + 1):
+        xp = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        z = einsum_conv2d_forward(xp, net.params[f"conv{i}_w"], net.params[f"conv{i}_b"], 2)
+        a = np.maximum(z, 0.0)
+        cache["conv"].append((xp, z > 0))
+    cache["pool_shape"] = a.shape
+    g = a.mean(axis=(2, 3))
+    h = g if dropout_mask is None else g * dropout_mask
+    cache["fc"] = []
+    n_fc = len(net.shape.fc_widths) + 1
+    for i in range(1, n_fc + 1):
+        z = h @ net.params[f"fc{i}_w"].T + net.params[f"fc{i}_b"]
+        cache["fc"].append((h, z > 0))
+        h = np.maximum(z, 0.0) if i < n_fc else z
+    return h, cache
+
+
+def reference_backward(net, cache, dy):
+    """Parameter gradients of :func:`reference_forward` by einsum."""
+    grads = {}
+    n_fc = len(net.shape.fc_widths) + 1
+    d = np.asarray(dy, dtype=np.float64)
+    for i in range(n_fc, 0, -1):
+        h, pos = cache["fc"][i - 1]
+        if i < n_fc:
+            d = d * pos
+        grads[f"fc{i}_w"] = d.T @ h
+        grads[f"fc{i}_b"] = d.sum(axis=0)
+        d = d @ net.params[f"fc{i}_w"]
+    if cache["mask"] is not None:
+        d = d * cache["mask"]
+    n, c, ho, wo = cache["pool_shape"]
+    d = np.broadcast_to(d[:, :, None, None] / (ho * wo), (n, c, ho, wo))
+    for i in range(len(net.shape.conv_widths), 0, -1):
+        xp, pos = cache["conv"][i - 1]
+        w = net.params[f"conv{i}_w"]
+        d = d * pos
+        if i == 1:
+            dw, db = einsum_conv2d_weight_grads(xp, d, w.shape[2], w.shape[3], 2)
+        else:
+            dxp, dw, db = einsum_conv2d_backward(xp, w, d, 2)
+            d = dxp[:, :, 1:-1, 1:-1]
+        grads[f"conv{i}_w"] = dw
+        grads[f"conv{i}_b"] = db
+    return grads
+
+
+def reference_loss_and_grads(net, x, targets, dropout_mask=None, rows=None):
+    """``ConvRegressor.loss_and_grads`` through the einsum reference;
+    a ``rows`` index selects the batch from ``x``."""
+    if rows is not None:
+        x = np.asarray(x)[rows]
+    y, cache = reference_forward(net, x, dropout_mask)
+    diff = y - targets
+    return float(np.mean(diff * diff)), reference_backward(net, cache, 2.0 * diff / diff.size)
+
+
 # ---------------------------------------------------------------------------
 # Kernels against the reference
 # ---------------------------------------------------------------------------
@@ -64,14 +139,18 @@ def test_backward_is_bit_identical_to_einsum(n, c, f, side, stride):
     out = (side - 3) // stride + 1
     dy = rng.normal(size=(n, f, out, out))
     want_dxp, want_dw, want_db = einsum_conv2d_backward(xp, w, dy, stride)
-    dxp, dw, db = conv2d_backward(xp, w, dy, stride)
-    assert dxp.shape == xp.shape
-    np.testing.assert_array_equal(dxp, want_dxp)
-    np.testing.assert_array_equal(dw, want_dw)
-    np.testing.assert_array_equal(db, want_db)
-    dw, db = conv2d_weight_grads(xp, dy, 3, 3, stride)
-    np.testing.assert_array_equal(dw, want_dw)
-    np.testing.assert_array_equal(db, want_db)
+    # The network passes gradients as NCHW-shaped views of channels-last
+    # memory; the kernels must give the same bits for either layout.
+    dy_last = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    for dy_in in (dy, dy_last):
+        dxp, dw, db = conv2d_backward(xp, w, dy_in, stride)
+        assert dxp.shape == xp.shape
+        np.testing.assert_array_equal(dxp, want_dxp)
+        np.testing.assert_array_equal(dw, want_dw)
+        np.testing.assert_array_equal(db, want_db)
+        dw, db = conv2d_weight_grads(xp, dy_in, 3, 3, stride)
+        np.testing.assert_array_equal(dw, want_dw)
+        np.testing.assert_array_equal(db, want_db)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +203,49 @@ def test_training_matches_einsum_backward_bitwise(monkeypatch):
     pairs = sample_random_pairs(8, side=24, seed=5)
     cfg = TrainConfig(batch_size=4, epochs_tr=2, epochs_rs=1, input_side=24, seed=1)
     got = train(pairs, cfg).tensors
-    monkeypatch.setattr(cnn, "conv2d_backward", einsum_conv2d_backward)
-    monkeypatch.setattr(cnn, "conv2d_weight_grads", einsum_conv2d_weight_grads)
+    monkeypatch.setattr(ConvRegressor, "loss_and_grads", reference_loss_and_grads)
     want = train(pairs, cfg).tensors
     assert list(got) == list(want)
     for name in want:
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# The network against the einsum reference at the benchmark's shapes
+# ---------------------------------------------------------------------------
+
+
+def _benchmark_net(side=64, seed=4):
+    """A translation-head regressor with nonzero biases, and inputs
+    scaled like frames in [0, 1] and flow of a few pixels."""
+    shape = NetworkShape(in_channels=INPUT_CHANNELS, input_side=side)
+    net = ConvRegressor(shape, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, value in net.params.items():
+        if name.endswith("_b"):
+            value[:] = rng.normal(0.0, 0.05, size=value.shape)
+    x = np.empty((40, INPUT_CHANNELS, side, side))
+    x[:, :2] = rng.uniform(0.0, 1.0, size=(40, 2, side, side))
+    x[:, 2:] = rng.normal(0.0, 3.0, size=(40, 2, side, side))
+    return net, x, rng
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_loss_and_grads_is_bit_identical_to_einsum_reference(dropout):
+    net, x, rng = _benchmark_net()
+    targets = rng.normal(size=(40, 2))
+    mask = net.make_dropout_mask(40, rng) if dropout else None
+    want_loss, want = reference_loss_and_grads(net, x, targets, dropout_mask=mask)
+    for _ in range(2):  # the second step runs on reused memory
+        loss, grads = net.loss_and_grads(x, targets, dropout_mask=mask)
+        assert loss == want_loss
+        assert set(grads) == set(want)
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("side, n", [(64, 1), (64, 3), (32, 1), (16, 1), (16, 5)])
+def test_predict_is_bit_identical_to_einsum_reference(side, n):
+    net, x, _ = _benchmark_net(side)
+    want, _ = reference_forward(net, x[:n])
+    assert net.predict(x[:n]).tobytes() == want.tobytes()
