@@ -8,6 +8,7 @@ gradients can be checked against finite differences.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,11 +44,58 @@ class NetworkShape:
             raise InvalidSpecError("dropout_rate must lie in [0, 1)")
 
 
-class ConvRegressor:
-    """Conv stack, global average pool, dropout, three linear layers."""
+class Workspace:
+    """Scratch memory that training steps reuse instead of reallocating.
 
-    def __init__(self, shape: NetworkShape, seed: int = 0) -> None:
+    Flat float64 arrays, grown to the largest size asked for, back the
+    kernels' columns, channel-major products and gradients; per layer it
+    keeps the zero-bordered padded input and the ReLU mask.  Two
+    regressors of one shape may share a workspace as long as each
+    ``backward`` follows its own ``forward``.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+        self._padded: dict[int, np.ndarray] = {}
+        self._masks: dict[int, np.ndarray] = {}
+
+    def flat(self, name: str, size: int) -> np.ndarray:
+        """A flat float64 array of at least ``size`` entries."""
+        buf = self._flat.get(name)
+        if buf is None or buf.size < size:
+            buf = self._flat[name] = np.empty(size)
+        return buf
+
+    def padded(self, layer: int, n: int, c: int, side: int) -> np.ndarray:
+        """Layer input (n, c, side + 2, side + 2) whose one-pixel border
+        is zero; callers write only the interior."""
+        buf = self._padded.get(layer)
+        if buf is None or buf.shape[1:] != (c, side + 2, side + 2) or buf.shape[0] < n:
+            buf = self._padded[layer] = np.zeros((n, c, side + 2, side + 2))
+        return buf[:n]
+
+    def mask(self, layer: int, shape: tuple[int, ...]) -> np.ndarray:
+        """A boolean array of ``shape`` for one layer's ReLU mask."""
+        size = math.prod(shape)
+        buf = self._masks.get(layer)
+        if buf is None or buf.size < size:
+            buf = self._masks[layer] = np.empty(size, dtype=bool)
+        return buf[:size].reshape(shape)
+
+
+class ConvRegressor:
+    """Conv stack, global average pool, dropout, three linear layers.
+
+    A forward pass writes its activations into ``workspace``, so the
+    cache it returns is valid until the next forward pass on that
+    workspace.  A regressor built without one makes its own.
+    """
+
+    def __init__(
+        self, shape: NetworkShape, seed: int = 0, workspace: Workspace | None = None
+    ) -> None:
         self.shape = shape
+        self.workspace = Workspace() if workspace is None else workspace
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
         c_in = shape.in_channels
@@ -88,22 +136,54 @@ class ConvRegressor:
         keep = rng.random((n, self.shape.conv_widths[-1])) >= rate
         return keep.astype(np.float64) / (1.0 - rate)
 
+    def _kernel_scratch(self, n: int) -> dict[str, np.ndarray]:
+        """The kernels' flat scratch arrays, sized for the largest layer."""
+        sizes = {"cols": 0, "out": 0}
+        c, side = self.shape.in_channels, self.shape.input_side
+        for f in self.shape.conv_widths:
+            side = (side - 1) // 2 + 1
+            sizes["cols"] = max(sizes["cols"], 9 * c * n * side * side)
+            sizes["out"] = max(sizes["out"], f * n * side * side)
+            c = f
+        ws = self.workspace
+        return {name: ws.flat(name, size) for name, size in sizes.items()}
+
     def forward(
         self,
         x: np.ndarray,
         dropout_mask: np.ndarray | None = None,
+        *,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, dict]:
-        """Run the network; dropout applies only when a mask is given."""
+        """Run the network; dropout applies only when a mask is given.
+
+        ``rows``, when given, indexes the batch within ``x``; its samples
+        are copied straight into the first layer's padded input.
+        """
         x = self._check_input(x)
+        ws = self.workspace
+        n = x.shape[0] if rows is None else len(rows)
+        scratch = self._kernel_scratch(n)
+        side = self.shape.input_side
+        xp = ws.padded(1, n, self.shape.in_channels, side)
+        if rows is None:
+            xp[:, :, 1:-1, 1:-1] = x
+        else:
+            for k, r in enumerate(rows):
+                xp[k, :, 1:-1, 1:-1] = x[r]
         cache: dict = {"conv": [], "mask": dropout_mask}
-        a = x
         n_conv = len(self.shape.conv_widths)
         for i in range(1, n_conv + 1):
-            xp = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            z = conv2d_forward(xp, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"], 2)
-            a = np.maximum(z, 0.0)
-            cache["conv"].append((xp, z > 0))
-        cache["pool_hw"] = a.shape[2] * a.shape[3]
+            w = self.params[f"conv{i}_w"]
+            z = conv2d_forward(xp, w, self.params[f"conv{i}_b"], 2, **scratch)
+            pos = np.greater(z, 0.0, out=ws.mask(i, z.shape))
+            cache["conv"].append((xp, pos))
+            if i < n_conv:
+                xp = ws.padded(i + 1, n, w.shape[0], z.shape[2])
+                np.maximum(z, 0.0, out=xp[:, :, 1:-1, 1:-1])
+        # The last activation keeps the conv output's (F, N, Ho, Wo)
+        # memory, over which the pooled mean reduces as it always has.
+        a = np.maximum(z, 0.0, out=z)
         cache["pool_shape"] = a.shape
         g = a.mean(axis=(2, 3))
         h = g if dropout_mask is None else g * dropout_mask
@@ -118,7 +198,11 @@ class ConvRegressor:
         return h, cache
 
     def backward(self, cache: dict, dy: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of every parameter given d(loss)/d(output)."""
+        """Gradients of every parameter given d(loss)/d(output).
+
+        Each conv layer's output gradient is formed in channels-last
+        memory and passed to the kernels as an NCHW-shaped view.
+        """
         grads: dict[str, np.ndarray] = {}
         n_fc = len(self.shape.fc_widths) + 1
         d = np.asarray(dy, dtype=np.float64)
@@ -132,16 +216,26 @@ class ConvRegressor:
         if cache["mask"] is not None:
             d = d * cache["mask"]
         n, c, ho, wo = cache["pool_shape"]
-        d = np.broadcast_to(d[:, :, None, None] / cache["pool_hw"], (n, c, ho, wo))
+        d = np.broadcast_to(d[:, :, None, None] / (ho * wo), (n, c, ho, wo))
+        ws = self.workspace
+        scratch = self._kernel_scratch(n)
+        grad = ws.flat("grad", scratch["out"].size)
         for i in range(len(self.shape.conv_widths), 0, -1):
             xp, pos = cache["conv"][i - 1]
             w = self.params[f"conv{i}_w"]
-            d = d * pos
+            n, f, ho, wo = pos.shape
+            dy_i = grad[: n * ho * wo * f].reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+            np.multiply(d, pos, out=dy_i)
             if i == 1:
                 # The input gradient of the first layer is never used.
-                dw, db = conv2d_weight_grads(xp, d, w.shape[2], w.shape[3], 2)
+                dw, db = conv2d_weight_grads(
+                    xp, dy_i, w.shape[2], w.shape[3], 2, cols=scratch["cols"], dy_f=scratch["out"]
+                )
             else:
-                dxp, dw, db = conv2d_backward(xp, w, d, 2)
+                dxp = ws.flat("dxp", xp.size)
+                dxp, dw, db = conv2d_backward(
+                    xp, w, dy_i, 2, cols=scratch["cols"], dy_f=scratch["out"], dxp=dxp
+                )
                 d = dxp[:, :, 1:-1, 1:-1]
             grads[f"conv{i}_w"] = dw
             grads[f"conv{i}_b"] = db
@@ -152,9 +246,12 @@ class ConvRegressor:
         x: np.ndarray,
         targets: np.ndarray,
         dropout_mask: np.ndarray | None = None,
+        *,
+        rows: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean-squared-error loss and its parameter gradients."""
-        y, cache = self.forward(x, dropout_mask=dropout_mask)
+        """Mean-squared-error loss and its parameter gradients; ``rows``
+        indexes the batch within ``x`` as in :meth:`forward`."""
+        y, cache = self.forward(x, dropout_mask=dropout_mask, rows=rows)
         t = np.asarray(targets, dtype=np.float64)
         if t.shape != y.shape:
             raise InvalidSpecError(f"targets {t.shape} vs outputs {y.shape}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .affine import AffineParams, apply_transform, fit_similarity, params_to_matrix, wrap_angle
-from .cnn import Adam, ConvRegressor, NetworkShape, load_tensors, save_tensors
+from .cnn import Adam, ConvRegressor, NetworkShape, Workspace, load_tensors, save_tensors
 from .dataset import atomic_write_text
 from .errors import (
     InvalidSpecError,
@@ -214,6 +214,7 @@ def _train_one(
     targets: np.ndarray,
     cfg: TrainConfig,
     epochs: int,
+    workspace: Workspace,
     drop_lr: bool,
     seed: int,
 ) -> tuple[ConvRegressor, np.ndarray, np.ndarray, list[tuple[str, int, float]]]:
@@ -225,7 +226,7 @@ def _train_one(
         input_side=cfg.input_side,
         dropout_rate=cfg.dropout_rate,
     )
-    net = ConvRegressor(shape, seed=seed)
+    net = ConvRegressor(shape, seed=seed, workspace=workspace)
     opt = Adam(cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
     n = x.shape[0]
@@ -238,7 +239,7 @@ def _train_one(
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             mask = net.make_dropout_mask(len(idx), rng)
-            loss, grads = net.loss_and_grads(x[idx], t_std[idx], dropout_mask=mask)
+            loss, grads = net.loss_and_grads(x, t_std[idx], dropout_mask=mask, rows=idx)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(name, epoch, bi)
             opt.step(net.params, grads)
@@ -248,17 +249,22 @@ def _train_one(
 
 
 def train(samples: list[PairSample], cfg: TrainConfig) -> TrainResult:
-    """Train the translation and rotation/scale regressors."""
+    """Train the translation and rotation/scale regressors.
+
+    The two heads train one after the other on one ``Workspace``, which
+    is dropped when this returns.
+    """
     if len(samples) < cfg.batch_size:
         raise InvalidSpecError(
             f"need at least one full batch ({cfg.batch_size}), got {len(samples)}"
         )
     x, t_tr, t_rs = build_training_arrays(samples, cfg)
+    ws = Workspace()
     net_tr, mean_tr, std_tr, log_tr = _train_one(
-        "translation", x, t_tr, cfg, cfg.epochs_tr, drop_lr=True, seed=cfg.seed * 2 + 1
+        "translation", x, t_tr, cfg, cfg.epochs_tr, ws, drop_lr=True, seed=cfg.seed * 2 + 1
     )
     net_rs, mean_rs, std_rs, log_rs = _train_one(
-        "rotscale", x, t_rs, cfg, cfg.epochs_rs, drop_lr=False, seed=cfg.seed * 2 + 2
+        "rotscale", x, t_rs, cfg, cfg.epochs_rs, ws, drop_lr=False, seed=cfg.seed * 2 + 2
     )
     tensors: dict[str, np.ndarray] = {}
     for prefix, net in (("tr", net_tr), ("rs", net_rs)):
@@ -295,11 +301,12 @@ class LearnedEstimator:
         self.input_side = int(tensor("meta_input_side")[0])
         self.nets: dict[str, ConvRegressor] = {}
         self.norms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        ws = Workspace()
         for prefix in ("tr", "rs"):
             shape = NetworkShape(
                 in_channels=INPUT_CHANNELS, input_side=self.input_side, dropout_rate=0.0
             )
-            net = ConvRegressor(shape, seed=0)
+            net = ConvRegressor(shape, seed=0, workspace=ws)
             for pname in net.param_names():
                 key = f"{prefix}_{pname}"
                 if tensor(key).shape != net.params[pname].shape:

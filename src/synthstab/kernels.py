@@ -34,6 +34,8 @@ einsum form, which ``tests/test_cnn.py`` keeps as the reference.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Sentinel SAD for displacements whose block leaves the image.
@@ -193,65 +195,109 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
 # ---------------------------------------------------------------------------
 
 
-def conv2d_forward(xp, w, b, stride):
-    """Convolve pre-padded ``xp`` (N, C, Hp, Wp) with ``w`` (F, C, kh, kw)."""
-    xp = np.ascontiguousarray(xp, dtype=np.float64)
+def _scratch(buf, shape):
+    """A C-contiguous ``shape`` view of the leading entries of the flat
+    float64 ``buf``, or a new array when ``buf`` is None."""
+    if buf is None:
+        return np.empty(shape)
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def conv2d_forward(xp, w, b, stride, *, cols=None, out=None):
+    """Convolve pre-padded ``xp`` (N, C, Hp, Wp) with ``w`` (F, C, kh, kw).
+
+    Returns the (N, F, Ho, Wo) output as a view of (F, N, Ho, Wo) memory:
+    ``cols[c, ky, kx, n, ho, wo]`` gathers the input under each tap, and
+    the output is one ``(F, C*kh*kw) @ (C*kh*kw, N*Ho*Wo)`` product, the
+    operands ``einsum("nchwij,fcij->nfhw", optimize=True)`` hands BLAS.
+    ``cols`` and ``out`` are optional flat scratch arrays for the
+    columns and the output.
+    """
+    xp = np.asarray(xp, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     stride = int(stride)
-    kh, kw = w.shape[2], w.shape[3]
+    n, c = xp.shape[:2]
+    f, _, kh, kw = w.shape
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
-    y = np.einsum("nchwij,fcij->nfhw", win, w, optimize=True)
-    return y + b[None, :, None, None]
+    ho, wo = win.shape[2:4]
+    k = c * kh * kw
+    if ho == wo == 1 and n > 1:
+        # einsum sums the size-1 output axes away, which leaves the
+        # columns in (N, C*kh*kw) memory, and BLAS reads them transposed.
+        taps = _scratch(cols, (n, c, kh, kw))
+        np.copyto(taps, win[:, :, 0, 0])
+        rhs = taps.reshape(n, k).T
+    else:
+        taps = _scratch(cols, (c, kh, kw, n, ho, wo))
+        np.copyto(taps, win.transpose(1, 4, 5, 0, 2, 3))
+        rhs = taps.reshape(k, n * ho * wo)
+    y = _scratch(out, (f, n * ho * wo))
+    np.matmul(w.reshape(f, k), rhs, out=y)
+    y += b[:, None]
+    return y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
 
-def conv2d_weight_grads(xp, dy, kh, kw, stride):
+def conv2d_weight_grads(xp, dy, kh, kw, stride, *, cols=None, dy_f=None):
     """Gradients of :func:`conv2d_forward` w.r.t. weights and bias.
 
     ``cols[n, ho, wo, c, ky, kx]`` holds the input under each kernel tap,
-    gathered per sample by one ``take``, so ``dw`` is one
-    ``(f, n*ho*wo) @ (n*ho*wo, c*kh*kw)`` product.
+    gathered per sample by one ``take``, and ``dy_f`` is ``dy`` copied
+    to (F, N, Ho, Wo) memory, so ``dw`` is one
+    ``(F, N*Ho*Wo) @ (N*Ho*Wo, C*kh*kw)`` product.  ``cols`` and
+    ``dy_f`` are optional flat scratch arrays.
     """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
-    dy = np.ascontiguousarray(dy, dtype=np.float64)
+    dy = np.asarray(dy, dtype=np.float64)
     stride = int(stride)
     n, c, hp, wp = xp.shape
     f, ho, wo = dy.shape[1:]
-    db = dy.sum(axis=(0, 2, 3))
+    dyf = _scratch(dy_f, (f, n, ho, wo))
+    np.copyto(dyf, dy.transpose(1, 0, 2, 3))
+    # Pairwise over each sample's Ho*Wo, then in sample order: the
+    # order of dy.sum(axis=(0, 2, 3)) on C-contiguous dy.
+    db = np.ascontiguousarray(dyf.reshape(f, n, ho * wo).sum(axis=2).T).sum(axis=0)
     # Offset within one sample of xp of each (ho, wo, c, ky, kx) entry.
     tap = (np.arange(c)[:, None, None] * hp + np.arange(kh)[:, None]) * wp + np.arange(kw)
     corner = (stride * np.arange(ho))[:, None] * wp + stride * np.arange(wo)
     idx = (corner[:, :, None, None, None] + tap).ravel()
-    cols = np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * ho * wo, c * kh * kw)
-    dw = dy.transpose(1, 0, 2, 3).reshape(f, n * ho * wo) @ cols
+    taps = _scratch(cols, (n, idx.size))
+    np.take(xp.reshape(n, -1), idx, axis=1, out=taps, mode="clip")
+    dw = dyf.reshape(f, n * ho * wo) @ taps.reshape(n * ho * wo, c * kh * kw)
     return dw.reshape(f, c, kh, kw), db
 
 
-def conv2d_backward(xp, w, dy, stride):
+def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dxp=None):
     """Gradients of :func:`conv2d_forward` w.r.t. input, weights, bias.
 
-    ``dcols[n, ho, wo, c, ky, kx]`` is one ``(n*ho*wo, f) @ (f, c*kh*kw)``
-    product; each tap's slice is added into an ``(n, Hp, Wp, c)``
-    accumulator, returned as an ``(n, c, Hp, Wp)`` view.
+    ``dcols[n, ho, wo, c, ky, kx]`` is one ``(N*Ho*Wo, F) @ (F, C*kh*kw)``
+    product, whose left operand is a view when ``dy`` is an NCHW-shaped
+    view of channels-last memory; each tap's slice is added into an
+    ``(N, Hp, Wp, C)`` accumulator, returned as an ``(N, C, Hp, Wp)``
+    view.  ``dcols`` reuses ``cols`` once ``dw`` is formed; ``cols``,
+    ``dy_f`` and ``dxp`` are optional flat scratch arrays.
     """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    dy = np.ascontiguousarray(dy, dtype=np.float64)
+    dy = np.asarray(dy, dtype=np.float64)
     stride = int(stride)
     f, c, kh, kw = w.shape
     n, _, hp, wp = xp.shape
     ho, wo = dy.shape[2:]
-    dw, db = conv2d_weight_grads(xp, dy, kh, kw, stride)
-    dy_t = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-    dcols = (dy_t @ w.reshape(f, c * kh * kw)).reshape(n, ho, wo, c, kh, kw)
-    dxp = np.zeros((n, hp, wp, c))
+    dw, db = conv2d_weight_grads(xp, dy, kh, kw, stride, cols=cols, dy_f=dy_f)
+    dy_rows = np.ascontiguousarray(dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, f))
+    dcols = _scratch(cols, (n * ho * wo, c * kh * kw))
+    np.matmul(dy_rows, w.reshape(f, c * kh * kw), out=dcols)
+    dcols = dcols.reshape(n, ho, wo, c, kh, kw)
+    acc = _scratch(dxp, (n, hp, wp, c))
+    acc.fill(0.0)
     for ky in range(kh):
         for kx in range(kw):
-            dxp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += dcols[
+            acc[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += dcols[
                 ..., ky, kx
             ]
-    return dxp.transpose(0, 3, 1, 2), dw, db
+    return acc.transpose(0, 3, 1, 2), dw, db
 
 
 def backend_name() -> str:

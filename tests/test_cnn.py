@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from synthstab.affine import AffineParams
 from synthstab.cnn import ConvRegressor, NetworkShape
 from synthstab.estimator import INPUT_CHANNELS, TrainConfig, train
-from synthstab.generate import sample_random_pairs
+from synthstab.generate import PairSample, sample_random_pairs
 from synthstab.kernels import conv2d_backward, conv2d_weight_grads
 
 # ---------------------------------------------------------------------------
@@ -249,3 +252,48 @@ def test_predict_is_bit_identical_to_einsum_reference(side, n):
     net, x, _ = _benchmark_net(side)
     want, _ = reference_forward(net, x[:n])
     assert net.predict(x[:n]).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Memory: a training step reuses one workspace, which training drops
+# ---------------------------------------------------------------------------
+
+
+def test_second_training_step_allocates_little():
+    # The parent of the workspace change peaked at 45 MB here.
+    net, x, rng = _benchmark_net()
+    targets = rng.normal(size=(40, 2))
+    mask = net.make_dropout_mask(40, rng)
+    net.loss_and_grads(x, targets, dropout_mask=mask)
+    tracemalloc.start()
+    try:
+        net.loss_and_grads(x, targets, dropout_mask=mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def test_no_workspace_outlives_training():
+    rng = np.random.default_rng(8)
+    pairs = [
+        PairSample(
+            rng.integers(0, 256, size=(64, 64), dtype=np.uint8),
+            rng.integers(0, 256, size=(64, 64), dtype=np.uint8),
+            AffineParams(tx=float(k % 5), ty=-1.0, theta=0.01 * k, s=1.0),
+        )
+        for k in range(40)
+    ]
+    cfg = TrainConfig(batch_size=40, epochs_tr=1, epochs_rs=1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = train(pairs, cfg)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A workspace for batch 40 at 64 px holds about 45 MB; the returned
+    # tensors of both heads about 1 MB.
+    assert peak - before > 30e6
+    assert after - before < 3e6
+    assert len(result.log) == 2
