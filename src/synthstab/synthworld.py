@@ -175,9 +175,11 @@ class CameraPose:
 
 @dataclass(frozen=True)
 class Layer:
+    """One textured plane; the opaque base layer has no alpha canvas."""
+
     depth: float
     color: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -380,7 +382,7 @@ def build_scene(spec: SceneSpec) -> Scene:
         )
         if i == 0:
             color = _TEXTURE_BUILDERS[spec.texture_style](rng, spec.canvas_size)
-            alpha = np.ones_like(color)
+            alpha = None
         else:
             color, alpha = _overlay_layer(rng, spec.canvas_size)
         layers.append(Layer(float(depth), color, alpha))

@@ -102,7 +102,7 @@ def test_every_texture_style_has_contrast():
 def test_overlay_layers_have_partial_alpha():
     spec = SceneSpec(seed=7, n_layers=2, layer_depths=(1.0, 2.5))
     scene = build_scene(spec)
-    assert scene.layers[0].alpha.min() == 1.0
+    assert scene.layers[0].alpha is None
     overlay_alpha = scene.layers[1].alpha
     assert overlay_alpha.min() == 0.0
     assert overlay_alpha.max() > 0.0
