@@ -176,10 +176,12 @@ class ConvRegressor:
         for i in range(1, n_conv + 1):
             w = self.params[f"conv{i}_w"]
             z = conv2d_forward(xp, w, self.params[f"conv{i}_b"], 2, **scratch)
-            pos = np.greater(z, 0.0, out=ws.mask(i, z.shape))
+            f, ho, wo = z.shape[1:]
+            pos = ws.mask(i, (f, n, ho, wo)).transpose(1, 0, 2, 3)
+            np.greater(z, 0.0, out=pos)
             cache["conv"].append((xp, pos))
             if i < n_conv:
-                xp = ws.padded(i + 1, n, w.shape[0], z.shape[2])
+                xp = ws.padded(i + 1, n, f, ho)
                 np.maximum(z, 0.0, out=xp[:, :, 1:-1, 1:-1])
         # The last activation keeps the conv output's (F, N, Ho, Wo)
         # memory, over which the pooled mean reduces as it always has.
@@ -200,8 +202,9 @@ class ConvRegressor:
     def backward(self, cache: dict, dy: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of every parameter given d(loss)/d(output).
 
-        Each conv layer's output gradient is formed in channels-last
-        memory and passed to the kernels as an NCHW-shaped view.
+        Each conv layer's output gradient is formed in the (F, N, Ho, Wo)
+        memory of its mask and passed to the kernels as an NCHW-shaped
+        view.
         """
         grads: dict[str, np.ndarray] = {}
         n_fc = len(self.shape.fc_widths) + 1
@@ -219,22 +222,21 @@ class ConvRegressor:
         d = np.broadcast_to(d[:, :, None, None] / (ho * wo), (n, c, ho, wo))
         ws = self.workspace
         scratch = self._kernel_scratch(n)
-        grad = ws.flat("grad", scratch["out"].size)
+        rows = ws.flat("rows", scratch["out"].size)
         for i in range(len(self.shape.conv_widths), 0, -1):
             xp, pos = cache["conv"][i - 1]
             w = self.params[f"conv{i}_w"]
-            n, f, ho, wo = pos.shape
-            dy_i = grad[: n * ho * wo * f].reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+            _, f, ho, wo = pos.shape
+            dy_i = scratch["out"][: pos.size].reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
             np.multiply(d, pos, out=dy_i)
             if i == 1:
                 # The input gradient of the first layer is never used.
                 dw, db = conv2d_weight_grads(
-                    xp, dy_i, w.shape[2], w.shape[3], 2, cols=scratch["cols"], dy_f=scratch["out"]
+                    xp, dy_i, w.shape[2], w.shape[3], 2, cols=scratch["cols"]
                 )
             else:
-                dxp = ws.flat("dxp", xp.size)
                 dxp, dw, db = conv2d_backward(
-                    xp, w, dy_i, 2, cols=scratch["cols"], dy_f=scratch["out"], dxp=dxp
+                    xp, w, dy_i, 2, cols=scratch["cols"], dy_rows=rows, dxp=ws.flat("dxp", xp.size)
                 )
                 d = dxp[:, :, 1:-1, 1:-1]
             grads[f"conv{i}_w"] = dw

@@ -42,6 +42,8 @@ import numpy as np
 INVALID_SAD = np.int64(2) ** 62
 # Block rows per int16 partial SAD sum: 128 * 255 = 32640 <= 32767.
 SAD_ROW_CHUNK = 128
+# dcols entries (1 MB) per sample group of the conv input-gradient sum.
+COL2IM_CHUNK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +241,33 @@ def conv2d_forward(xp, w, b, stride, *, cols=None, out=None):
     return y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
 
+def _in_layout(a, axes, buf):
+    """``a.transpose(axes)`` as a C-contiguous array: a view when its
+    memory already has that layout, else a copy into scratch ``buf``."""
+    t = a.transpose(axes)
+    if t.flags.c_contiguous:
+        return t
+    out = _scratch(buf, t.shape)
+    np.copyto(out, t)
+    return out
+
+
 def conv2d_weight_grads(xp, dy, kh, kw, stride, *, cols=None, dy_f=None):
     """Gradients of :func:`conv2d_forward` w.r.t. weights and bias.
 
     ``cols[n, ho, wo, c, ky, kx]`` holds the input under each kernel tap,
-    gathered per sample by one ``take``, and ``dy_f`` is ``dy`` copied
-    to (F, N, Ho, Wo) memory, so ``dw`` is one
-    ``(F, N*Ho*Wo) @ (N*Ho*Wo, C*kh*kw)`` product.  ``cols`` and
-    ``dy_f`` are optional flat scratch arrays.
+    gathered per sample by one ``take``, so ``dw`` is one
+    ``(F, N*Ho*Wo) @ (N*Ho*Wo, C*kh*kw)`` product whose left operand is
+    ``dy`` in (F, N, Ho, Wo) memory: a view when ``dy`` is one, else a
+    copy into ``dy_f``.  ``cols`` and ``dy_f`` are optional flat scratch
+    arrays.
     """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     stride = int(stride)
     n, c, hp, wp = xp.shape
     f, ho, wo = dy.shape[1:]
-    dyf = _scratch(dy_f, (f, n, ho, wo))
-    np.copyto(dyf, dy.transpose(1, 0, 2, 3))
+    dyf = _in_layout(dy, (1, 0, 2, 3), dy_f)
     # Pairwise over each sample's Ho*Wo, then in sample order: the
     # order of dy.sum(axis=(0, 2, 3)) on C-contiguous dy.
     db = np.ascontiguousarray(dyf.reshape(f, n, ho * wo).sum(axis=2).T).sum(axis=0)
@@ -268,15 +281,17 @@ def conv2d_weight_grads(xp, dy, kh, kw, stride, *, cols=None, dy_f=None):
     return dw.reshape(f, c, kh, kw), db
 
 
-def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dxp=None):
+def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dy_rows=None, dxp=None):
     """Gradients of :func:`conv2d_forward` w.r.t. input, weights, bias.
 
     ``dcols[n, ho, wo, c, ky, kx]`` is one ``(N*Ho*Wo, F) @ (F, C*kh*kw)``
-    product, whose left operand is a view when ``dy`` is an NCHW-shaped
-    view of channels-last memory; each tap's slice is added into an
-    ``(N, Hp, Wp, C)`` accumulator, returned as an ``(N, C, Hp, Wp)``
-    view.  ``dcols`` reuses ``cols`` once ``dw`` is formed; ``cols``,
-    ``dy_f`` and ``dxp`` are optional flat scratch arrays.
+    product whose left operand is ``dy`` in channels-last memory: a view
+    when ``dy`` is one, else a copy into ``dy_rows``.  Each tap's slice
+    is added into an ``(N, Hp, Wp, C)`` accumulator, a few samples at a
+    time so that the nine strided passes over ``dcols`` stay in cache,
+    and the accumulator is returned as an ``(N, C, Hp, Wp)`` view.
+    ``dcols`` reuses ``cols`` once ``dw`` is formed; ``cols``, ``dy_f``,
+    ``dy_rows`` and ``dxp`` are optional flat scratch arrays.
     """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -286,17 +301,20 @@ def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dxp=None):
     n, _, hp, wp = xp.shape
     ho, wo = dy.shape[2:]
     dw, db = conv2d_weight_grads(xp, dy, kh, kw, stride, cols=cols, dy_f=dy_f)
-    dy_rows = np.ascontiguousarray(dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, f))
+    rows = _in_layout(dy, (0, 2, 3, 1), dy_rows).reshape(n * ho * wo, f)
     dcols = _scratch(cols, (n * ho * wo, c * kh * kw))
-    np.matmul(dy_rows, w.reshape(f, c * kh * kw), out=dcols)
+    np.matmul(rows, w.reshape(f, c * kh * kw), out=dcols)
     dcols = dcols.reshape(n, ho, wo, c, kh, kw)
     acc = _scratch(dxp, (n, hp, wp, c))
     acc.fill(0.0)
-    for ky in range(kh):
-        for kx in range(kw):
-            acc[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += dcols[
-                ..., ky, kx
-            ]
+    group = max(1, COL2IM_CHUNK // (ho * wo * c * kh * kw))
+    for s in range(0, n, group):
+        part, src = acc[s : s + group], dcols[s : s + group]
+        for ky in range(kh):
+            for kx in range(kw):
+                part[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += src[
+                    ..., ky, kx
+                ]
     return acc.transpose(0, 3, 1, 2), dw, db
 
 

@@ -142,16 +142,22 @@ def test_backward_is_bit_identical_to_einsum(n, c, f, side, stride):
     out = (side - 3) // stride + 1
     dy = rng.normal(size=(n, f, out, out))
     want_dxp, want_dw, want_db = einsum_conv2d_backward(xp, w, dy, stride)
-    # The network passes gradients as NCHW-shaped views of channels-last
-    # memory; the kernels must give the same bits for either layout.
+    # The kernels read gradients as NCHW-shaped views of channels-last or
+    # channel-major memory too, and must give the same bits for each.
     dy_last = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    for dy_in in (dy, dy_last):
-        dxp, dw, db = conv2d_backward(xp, w, dy_in, stride)
+    dy_chan = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    # Scratch arrays, filled with garbage, must not change the result.
+    size = max(xp.size, dy.size) * 9
+    scratch = {k: np.full(size, np.nan) for k in ("cols", "dy_f", "dy_rows", "dxp")}
+    for dy_in, kw in [(dy, {}), (dy_last, {}), (dy_chan, {}), (dy, scratch)]:
+        dxp, dw, db = conv2d_backward(xp, w, dy_in, stride, **kw)
         assert dxp.shape == xp.shape
         np.testing.assert_array_equal(dxp, want_dxp)
         np.testing.assert_array_equal(dw, want_dw)
         np.testing.assert_array_equal(db, want_db)
-        dw, db = conv2d_weight_grads(xp, dy_in, 3, 3, stride)
+        dw, db = conv2d_weight_grads(
+            xp, dy_in, 3, 3, stride, cols=kw.get("cols"), dy_f=kw.get("dy_f")
+        )
         np.testing.assert_array_equal(dw, want_dw)
         np.testing.assert_array_equal(db, want_db)
 
