@@ -4,11 +4,26 @@ Two instances of the same architecture predict the translation pair
 and the rotation/scale pair between two frames.  Everything is plain
 numpy (with the shared kernels module doing the convolution work), so
 gradients can be checked against finite differences.
+
+Memory.  A regressor runs on a :class:`Workspace` that keeps every
+conv layer's padded input and ReLU mask and the kernels' scratch
+arrays from one step to the next, so a training step allocates only
+its small fully connected temporaries and the gradients it returns.
+Activations and gradients stay in the layout the next matrix product
+reads (see ``kernels``): the ReLU writes each conv output straight into
+the next layer's zero-bordered padded input, and each output gradient
+is formed in the (F, N, Ho, Wo) memory of its mask.  ``estimator.train``
+shares one workspace between its two heads, which train one after the
+other, and drops it when it returns; a regressor built without one
+makes its own, which lives as long as the regressor.
+
+Fixed reduction order.  The pooled mean reduces the last conv output
+in the (F, N, Ho, Wo) memory the forward product leaves it in, the
+layout the einsum form of the forward pass gave it.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -45,25 +60,23 @@ class NetworkShape:
 
 
 class Workspace:
-    """Scratch memory that training steps reuse instead of reallocating.
+    """Arrays that training steps reuse instead of reallocating.
 
-    Flat float64 arrays, grown to the largest size asked for, back the
-    kernels' columns, channel-major products and gradients; per layer it
-    keeps the zero-bordered padded input and the ReLU mask.  Two
-    regressors of one shape may share a workspace as long as each
-    ``backward`` follows its own ``forward``.
+    Named flat arrays, grown to the largest size asked for, hold the
+    kernels' scratch, the gradients and the ReLU masks; per layer it
+    keeps the zero-bordered padded input.  Two regressors may share a
+    workspace as long as each ``backward`` follows its own ``forward``.
     """
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
         self._padded: dict[int, np.ndarray] = {}
-        self._masks: dict[int, np.ndarray] = {}
 
-    def flat(self, name: str, size: int) -> np.ndarray:
-        """A flat float64 array of at least ``size`` entries."""
+    def flat(self, name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+        """A flat array of at least ``size`` entries."""
         buf = self._flat.get(name)
         if buf is None or buf.size < size:
-            buf = self._flat[name] = np.empty(size)
+            buf = self._flat[name] = np.empty(size, dtype=dtype)
         return buf
 
     def padded(self, layer: int, n: int, c: int, side: int) -> np.ndarray:
@@ -73,14 +86,6 @@ class Workspace:
         if buf is None or buf.shape[1:] != (c, side + 2, side + 2) or buf.shape[0] < n:
             buf = self._padded[layer] = np.zeros((n, c, side + 2, side + 2))
         return buf[:n]
-
-    def mask(self, layer: int, shape: tuple[int, ...]) -> np.ndarray:
-        """A boolean array of ``shape`` for one layer's ReLU mask."""
-        size = math.prod(shape)
-        buf = self._masks.get(layer)
-        if buf is None or buf.size < size:
-            buf = self._masks[layer] = np.empty(size, dtype=bool)
-        return buf[:size].reshape(shape)
 
 
 class ConvRegressor:
@@ -177,8 +182,8 @@ class ConvRegressor:
             w = self.params[f"conv{i}_w"]
             z = conv2d_forward(xp, w, self.params[f"conv{i}_b"], 2, **scratch)
             f, ho, wo = z.shape[1:]
-            pos = ws.mask(i, (f, n, ho, wo)).transpose(1, 0, 2, 3)
-            np.greater(z, 0.0, out=pos)
+            pos = ws.flat(f"mask{i}", z.size, bool)[: z.size].reshape(f, n, ho, wo)
+            pos = np.greater(z, 0.0, out=pos.transpose(1, 0, 2, 3))
             cache["conv"].append((xp, pos))
             if i < n_conv:
                 xp = ws.padded(i + 1, n, f, ho)

@@ -24,12 +24,37 @@ sampler evaluates its interpolation in place in the gathered tap
 arrays, one rounding per operation as written, so the bits match an
 out-of-place evaluation of the same expression.
 
-The convolution kernels match loop oracles only to rounding error.  The
-forward pass is one ``einsum``.  The backward pass lowers each gradient
-to one matrix product over gathered columns and passes BLAS the same
-operands, in the same memory layout, as ``einsum(..., optimize=True)``
-does for that contraction, so its gradients are bit-identical to the
-einsum form, which ``tests/test_cnn.py`` keeps as the reference.
+The convolution kernels match loop oracles only to rounding error.
+Each lowers its contraction to one matrix product over gathered columns
+and passes BLAS the same operands, in the same memory layout, as
+``einsum(..., optimize=True)`` does, because at small sizes BLAS picks
+its kernel by layout.  So the outputs are bit-identical to the einsum
+form, which ``tests/test_cnn.py`` keeps as the reference.
+
+Layout contract.  Arrays are NCHW-shaped at every interface, but their
+memory need not be C-contiguous:
+
+- ``conv2d_forward`` returns a view of (F, N, Ho, Wo) memory, the
+  layout of its ``(F, C*kh*kw) @ (C*kh*kw, N*Ho*Wo)`` product;
+- the backward kernels read ``dy`` as a view of any layout.  The weight
+  product takes it in (F, N, Ho, Wo) memory and the input-gradient
+  product in channels-last (N, Ho, Wo, F) memory; a kernel copies
+  ``dy`` only into the layouts it is not already in;
+- ``conv2d_backward`` returns ``dxp`` as a view of channels-last
+  (N, Hp, Wp, C) memory.
+
+Fixed reduction orders.  ``db`` is a pairwise sum over each sample's
+Ho*Wo entries followed by a sequential sum over the samples, the order
+``dy.sum(axis=(0, 2, 3))`` takes on C-contiguous ``dy``, whatever
+layout ``dy`` arrives in.  Each ``dxp`` entry adds its taps in
+(ky, kx) order to zero.
+
+Scratch memory.  The convolution kernels take optional keyword-only
+flat float64 arrays (``cols``, ``out``, ``dy_f``, ``dy_rows``,
+``dxp``) at least as long as the intermediates they hold.  A kernel
+overwrites them and may return views of them, so a result lives only
+until the caller reuses its scratch; without them it allocates.
+``cnn.Workspace`` owns these arrays during training.
 """
 
 from __future__ import annotations
