@@ -284,13 +284,19 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction; ``lr`` may be changed between steps."""
+    """Adam with bias correction; ``lr`` may be changed between steps.
+
+    A step updates the moments and the parameters in place, through two
+    scratch arrays per parameter, one rounding per operation in the
+    order of the textbook expressions.
+    """
 
     def __init__(self, lr: float = 1e-4) -> None:
         self.lr = lr
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._tmp: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -300,11 +306,23 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[name] / b1t
-            v_hat = self.v[name] / b2t
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                self._tmp[name] = (np.empty_like(g), np.empty_like(g))
+            m, v = self.m[name], self.v[name]
+            num, den = self._tmp[name]
+            # m = B1*m + (1-B1)*g and v = B2*v + (1-B2)*(g*g).
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=num)
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=num)
+            num *= 1.0 - ADAM_BETA2
+            v += num
+            # params -= lr * (m/b1t) / (sqrt(v/b2t) + eps).
+            np.divide(m, b1t, out=num)
+            num *= self.lr
+            np.sqrt(np.divide(v, b2t, out=den), out=den)
+            den += ADAM_EPS
+            num /= den
+            params[name] -= num
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from synthstab.affine import AffineParams
-from synthstab.cnn import ConvRegressor, NetworkShape
+from synthstab.cnn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, ConvRegressor, NetworkShape
 from synthstab.estimator import INPUT_CHANNELS, TrainConfig, train
 from synthstab.generate import PairSample, sample_random_pairs
 from synthstab.kernels import conv2d_backward, conv2d_weight_grads
@@ -258,6 +258,28 @@ def test_predict_is_bit_identical_to_einsum_reference(side, n):
     net, x, _ = _benchmark_net(side)
     want, _ = reference_forward(net, x[:n])
     assert net.predict(x[:n]).tobytes() == want.tobytes()
+
+
+def test_adam_step_is_bit_identical_to_textbook_update():
+    rng = np.random.default_rng(12)
+    params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+    want = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    opt = Adam(1e-3)
+    for t in range(1, 6):
+        if t == 4:
+            opt.lr = 1e-4
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():
+            m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+            v2[k] = ADAM_BETA2 * v2[k] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m[k] / (1.0 - ADAM_BETA1**t)
+            v_hat = v2[k] / (1.0 - ADAM_BETA2**t)
+            want[k] -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for k in params:
+            assert params[k].tobytes() == want[k].tobytes(), (t, k)
 
 
 # ---------------------------------------------------------------------------
