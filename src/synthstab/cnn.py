@@ -227,7 +227,7 @@ class ConvRegressor:
         d = np.broadcast_to(d[:, :, None, None] / (ho * wo), (n, c, ho, wo))
         ws = self.workspace
         scratch = self._kernel_scratch(n)
-        rows = ws.flat("rows", scratch["out"].size)
+        dy_rows = ws.flat("dy_rows", scratch["out"].size)
         for i in range(len(self.shape.conv_widths), 0, -1):
             xp, pos = cache["conv"][i - 1]
             w = self.params[f"conv{i}_w"]
@@ -240,8 +240,9 @@ class ConvRegressor:
                     xp, dy_i, w.shape[2], w.shape[3], 2, cols=scratch["cols"]
                 )
             else:
+                dxp = ws.flat("dxp", xp.size)
                 dxp, dw, db = conv2d_backward(
-                    xp, w, dy_i, 2, cols=scratch["cols"], dy_rows=rows, dxp=ws.flat("dxp", xp.size)
+                    xp, w, dy_i, 2, cols=scratch["cols"], dy_rows=dy_rows, dxp=dxp
                 )
                 d = dxp[:, :, 1:-1, 1:-1]
             grads[f"conv{i}_w"] = dw
