@@ -39,7 +39,8 @@ memory need not be C-contiguous:
 - the backward kernels read ``dy`` as a view of any layout.  The weight
   product takes it in (F, N, Ho, Wo) memory and the input-gradient
   product in channels-last (N, Ho, Wo, F) memory; a kernel copies
-  ``dy`` only into the layouts it is not already in;
+  ``dy`` only into the layouts it is not already in (``cnn`` forms it
+  in (F, N, Ho, Wo) memory, so only the channels-last copy happens);
 - ``conv2d_backward`` returns ``dxp`` as a view of channels-last
   (N, Hp, Wp, C) memory.
 
@@ -50,10 +51,10 @@ layout ``dy`` arrives in.  Each ``dxp`` entry adds its taps in
 (ky, kx) order to zero.
 
 Scratch memory.  The convolution kernels take optional keyword-only
-flat float64 arrays (``cols``, ``out``, ``dy_f``, ``dy_rows``,
-``dxp``) at least as long as the intermediates they hold.  A kernel
-overwrites them and may return views of them, so a result lives only
-until the caller reuses its scratch; without them it allocates.
+flat float64 arrays (``cols``, ``out``, ``dy_rows``, ``dxp``) at
+least as long as the intermediates they hold.  A kernel overwrites
+them and may return views of them, so a result lives only until the
+caller reuses its scratch; without them it allocates.
 ``cnn.Workspace`` owns these arrays during training.
 """
 
@@ -268,7 +269,8 @@ def conv2d_forward(xp, w, b, stride, *, cols=None, out=None):
 
 def _in_layout(a, axes, buf):
     """``a.transpose(axes)`` as a C-contiguous array: a view when its
-    memory already has that layout, else a copy into scratch ``buf``."""
+    memory already has that layout, else a copy into scratch ``buf``
+    (a new array when ``buf`` is None)."""
     t = a.transpose(axes)
     if t.flags.c_contiguous:
         return t
@@ -277,22 +279,21 @@ def _in_layout(a, axes, buf):
     return out
 
 
-def conv2d_weight_grads(xp, dy, kh, kw, stride, *, cols=None, dy_f=None):
+def conv2d_weight_grads(xp, dy, kh, kw, stride, *, cols=None):
     """Gradients of :func:`conv2d_forward` w.r.t. weights and bias.
 
     ``cols[n, ho, wo, c, ky, kx]`` holds the input under each kernel tap,
     gathered per sample by one ``take``, so ``dw`` is one
     ``(F, N*Ho*Wo) @ (N*Ho*Wo, C*kh*kw)`` product whose left operand is
     ``dy`` in (F, N, Ho, Wo) memory: a view when ``dy`` is one, else a
-    copy into ``dy_f``.  ``cols`` and ``dy_f`` are optional flat scratch
-    arrays.
+    copy.  ``cols`` is an optional flat scratch array.
     """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     stride = int(stride)
     n, c, hp, wp = xp.shape
     f, ho, wo = dy.shape[1:]
-    dyf = _in_layout(dy, (1, 0, 2, 3), dy_f)
+    dyf = _in_layout(dy, (1, 0, 2, 3), None)
     # Pairwise over each sample's Ho*Wo, then in sample order: the
     # order of dy.sum(axis=(0, 2, 3)) on C-contiguous dy.
     db = np.ascontiguousarray(dyf.reshape(f, n, ho * wo).sum(axis=2).T).sum(axis=0)
@@ -306,7 +307,7 @@ def conv2d_weight_grads(xp, dy, kh, kw, stride, *, cols=None, dy_f=None):
     return dw.reshape(f, c, kh, kw), db
 
 
-def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dy_rows=None, dxp=None):
+def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_rows=None, dxp=None):
     """Gradients of :func:`conv2d_forward` w.r.t. input, weights, bias.
 
     ``dcols[n, ho, wo, c, ky, kx]`` is one ``(N*Ho*Wo, F) @ (F, C*kh*kw)``
@@ -315,7 +316,7 @@ def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dy_rows=None, dx
     is added into an ``(N, Hp, Wp, C)`` accumulator, a few samples at a
     time so that the nine strided passes over ``dcols`` stay in cache,
     and the accumulator is returned as an ``(N, C, Hp, Wp)`` view.
-    ``dcols`` reuses ``cols`` once ``dw`` is formed; ``cols``, ``dy_f``,
+    ``dcols`` reuses ``cols`` once ``dw`` is formed; ``cols``,
     ``dy_rows`` and ``dxp`` are optional flat scratch arrays.
     """
     xp = np.ascontiguousarray(xp, dtype=np.float64)
@@ -325,7 +326,7 @@ def conv2d_backward(xp, w, dy, stride, *, cols=None, dy_f=None, dy_rows=None, dx
     f, c, kh, kw = w.shape
     n, _, hp, wp = xp.shape
     ho, wo = dy.shape[2:]
-    dw, db = conv2d_weight_grads(xp, dy, kh, kw, stride, cols=cols, dy_f=dy_f)
+    dw, db = conv2d_weight_grads(xp, dy, kh, kw, stride, cols=cols)
     rows = _in_layout(dy, (0, 2, 3, 1), dy_rows).reshape(n * ho * wo, f)
     dcols = _scratch(cols, (n * ho * wo, c * kh * kw))
     np.matmul(rows, w.reshape(f, c * kh * kw), out=dcols)

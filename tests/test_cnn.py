@@ -148,16 +148,14 @@ def test_backward_is_bit_identical_to_einsum(n, c, f, side, stride):
     dy_chan = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     # Scratch arrays, filled with garbage, must not change the result.
     size = max(xp.size, dy.size) * 9
-    scratch = {k: np.full(size, np.nan) for k in ("cols", "dy_f", "dy_rows", "dxp")}
+    scratch = {k: np.full(size, np.nan) for k in ("cols", "dy_rows", "dxp")}
     for dy_in, kw in [(dy, {}), (dy_last, {}), (dy_chan, {}), (dy, scratch)]:
         dxp, dw, db = conv2d_backward(xp, w, dy_in, stride, **kw)
         assert dxp.shape == xp.shape
         np.testing.assert_array_equal(dxp, want_dxp)
         np.testing.assert_array_equal(dw, want_dw)
         np.testing.assert_array_equal(db, want_db)
-        dw, db = conv2d_weight_grads(
-            xp, dy_in, 3, 3, stride, cols=kw.get("cols"), dy_f=kw.get("dy_f")
-        )
+        dw, db = conv2d_weight_grads(xp, dy_in, 3, 3, stride, cols=kw.get("cols"))
         np.testing.assert_array_equal(dw, want_dw)
         np.testing.assert_array_equal(db, want_db)
 
