@@ -9,13 +9,18 @@ Memory.  A regressor runs on a :class:`Workspace` that keeps every
 conv layer's padded input and ReLU mask and the kernels' scratch
 arrays from one step to the next, so a training step allocates only
 its small fully connected temporaries and the gradients it returns.
-Activations and gradients stay in the layout the next matrix product
-reads (see ``kernels``): the ReLU writes each conv output straight into
-the next layer's zero-bordered padded input, and each output gradient
-is formed in the (F, N, Ho, Wo) memory of its mask.  ``estimator.train``
-shares one workspace between its two heads, which train one after the
-other, and drops it when it returns; a regressor built without one
-makes its own, which lives as long as the regressor.
+A batch enters through a writer that fills the first layer's padded
+interior, so the inputs need never exist as one array: ``predict``'s
+writer copies its array, and ``estimator.train``'s builds each batch
+from the uint8 frames and the block flow.  Activations and gradients
+stay in the layout the next matrix product reads (see ``kernels``): the
+ReLU writes each conv output straight into the next layer's
+zero-bordered padded input, and each output gradient is formed in the
+(F, N, Ho, Wo) memory of its mask.  The channels-last copy of an output
+gradient and the input-gradient accumulator share one array.
+``estimator.train`` shares one workspace between its two heads, which
+train one after the other, and drops it when it returns; a regressor
+built without one makes its own, which lives as long as the regressor.
 
 Fixed reduction order.  The pooled mean reduces the last conv output
 in the (F, N, Ho, Wo) memory the forward product leaves it in, the
@@ -25,6 +30,7 @@ layout the einsum form of the forward pass gave it.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +41,15 @@ from .kernels import conv2d_backward, conv2d_forward, conv2d_weight_grads
 
 WEIGHTS_MAGIC = b"STBW1"
 
+# Writes a batch's inputs into the (N, C, S, S) view it is given.
+BatchWriter = Callable[[np.ndarray], None]
+
 
 @dataclass(frozen=True)
 class NetworkShape:
     """Architecture hyperparameters of one regressor head."""
 
-    in_channels: int = 2
+    in_channels: int
     conv_widths: tuple[int, ...] = (16, 32, 64, 64)
     fc_widths: tuple[int, ...] = (64, 32)
     out_dim: int = 2
@@ -154,28 +163,15 @@ class ConvRegressor:
         return {name: ws.flat(name, size) for name, size in sizes.items()}
 
     def forward(
-        self,
-        x: np.ndarray,
-        dropout_mask: np.ndarray | None = None,
-        *,
-        rows: np.ndarray | None = None,
+        self, write: BatchWriter, n: int, dropout_mask: np.ndarray | None = None
     ) -> tuple[np.ndarray, dict]:
-        """Run the network; dropout applies only when a mask is given.
-
-        ``rows``, when given, indexes the batch within ``x``; its samples
-        are copied straight into the first layer's padded input.
-        """
-        x = self._check_input(x)
+        """Run the network on the batch of ``n`` samples that ``write``
+        puts into the first layer's padded interior; dropout applies
+        only when a mask is given."""
         ws = self.workspace
-        n = x.shape[0] if rows is None else len(rows)
         scratch = self._kernel_scratch(n)
-        side = self.shape.input_side
-        xp = ws.padded(1, n, self.shape.in_channels, side)
-        if rows is None:
-            xp[:, :, 1:-1, 1:-1] = x
-        else:
-            for k, r in enumerate(rows):
-                xp[k, :, 1:-1, 1:-1] = x[r]
+        xp = ws.padded(1, n, self.shape.in_channels, self.shape.input_side)
+        write(xp[:, :, 1:-1, 1:-1])
         cache: dict = {"conv": [], "mask": dropout_mask}
         n_conv = len(self.shape.conv_widths)
         for i in range(1, n_conv + 1):
@@ -227,7 +223,11 @@ class ConvRegressor:
         d = np.broadcast_to(d[:, :, None, None] / (ho * wo), (n, c, ho, wo))
         ws = self.workspace
         scratch = self._kernel_scratch(n)
-        dy_rows = ws.flat("dy_rows", scratch["out"].size)
+        # conv2d_backward is done with the channels-last copy of dy once
+        # it has formed dcols, before it zeroes dxp, so one array holds
+        # both, sized for the larger.
+        pads = [xp.size for xp, _ in cache["conv"][1:]]
+        shared = ws.flat("dxp", max(scratch["out"].size, *pads))
         for i in range(len(self.shape.conv_widths), 0, -1):
             xp, pos = cache["conv"][i - 1]
             w = self.params[f"conv{i}_w"]
@@ -240,9 +240,8 @@ class ConvRegressor:
                     xp, dy_i, w.shape[2], w.shape[3], 2, cols=scratch["cols"]
                 )
             else:
-                dxp = ws.flat("dxp", xp.size)
                 dxp, dw, db = conv2d_backward(
-                    xp, w, dy_i, 2, cols=scratch["cols"], dy_rows=dy_rows, dxp=dxp
+                    xp, w, dy_i, 2, cols=scratch["cols"], dy_rows=shared, dxp=shared
                 )
                 d = dxp[:, :, 1:-1, 1:-1]
             grads[f"conv{i}_w"] = dw
@@ -251,16 +250,14 @@ class ConvRegressor:
 
     def loss_and_grads(
         self,
-        x: np.ndarray,
+        write: BatchWriter,
         targets: np.ndarray,
         dropout_mask: np.ndarray | None = None,
-        *,
-        rows: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean-squared-error loss and its parameter gradients; ``rows``
-        indexes the batch within ``x`` as in :meth:`forward`."""
-        y, cache = self.forward(x, dropout_mask=dropout_mask, rows=rows)
+        """Mean-squared-error loss and its parameter gradients on the
+        batch that ``write`` puts in, one sample per target row."""
         t = np.asarray(targets, dtype=np.float64)
+        y, cache = self.forward(write, len(t), dropout_mask=dropout_mask)
         if t.shape != y.shape:
             raise InvalidSpecError(f"targets {t.shape} vs outputs {y.shape}")
         diff = y - t
@@ -273,7 +270,8 @@ class ConvRegressor:
         x = self._check_input(x)
         outs = []
         for start in range(0, x.shape[0], batch_size):
-            y, _ = self.forward(x[start : start + batch_size])
+            chunk = x[start : start + batch_size]
+            y, _ = self.forward(lambda dst: np.copyto(dst, chunk), len(chunk))
             outs.append(y)
         return np.concatenate(outs, axis=0)
 

@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteLossError,
     SynthStabError,
 )
-from .flow import FlowField, compute_flow, flow_to_dense, stack_frames
+from .flow import BLOCK_SIZE, FlowField, compute_flow, flow_to_dense, stack_frames
 from .generate import PairSample
 from .kernels import affine_bilinear
 from .synthworld import pair_correspondences
@@ -144,20 +144,7 @@ def preprocess_pair(
     """Stack the ``INPUT_CHANNELS`` network inputs; returns
     (INPUT_CHANNELS, S, S) and the translation scale factor between
     original and network pixels.  ``flow`` is the pair's precomputed
-    flow field, computed here when absent."""
-    fa = np.asarray(frame_a)
-    fb = np.asarray(frame_b)
-    if fa.shape != fb.shape or fa.ndim != 2:
-        raise MeasurementError(f"bad frame pair shapes {fa.shape} vs {fb.shape}")
-    if flow is None:
-        flow = compute_flow(fa, fb)
-    x = np.empty((INPUT_CHANNELS, input_side, input_side))
-    return x, _fill_inputs(x, fa, fb, flow)
-
-
-def _fill_inputs(x: np.ndarray, fa: np.ndarray, fb: np.ndarray, flow: FlowField) -> float:
-    """Write the network inputs of one pair into ``x``, of shape
-    (INPUT_CHANNELS, S, S), and return the translation scale factor.
+    flow field, computed here when absent.
 
     An S x S frame is copied, not resampled: ``_resize_matrix`` is then
     the identity, which samples every pixel at its own integer position
@@ -165,40 +152,71 @@ def _fill_inputs(x: np.ndarray, fa: np.ndarray, fb: np.ndarray, flow: FlowField)
     unchanged (flow components are never -0.0, whose sign a zero-weight
     neighbour could flip).
     """
-    side = x.shape[-1]
+    fa = np.asarray(frame_a)
+    fb = np.asarray(frame_b)
+    if fa.shape != fb.shape or fa.ndim != 2:
+        raise MeasurementError(f"bad frame pair shapes {fa.shape} vs {fb.shape}")
+    if flow is None:
+        flow = compute_flow(fa, fb)
+    x = np.empty((INPUT_CHANNELS, input_side, input_side))
     h, w = fa.shape
-    m, r = _resize_matrix(h, w, side)
+    m, r = _resize_matrix(h, w, input_side)
     du, dv = flow_to_dense(flow, h, w)
     for c, channel in enumerate((fa / 255.0, fb / 255.0, du * r, dv * r)):
-        if h == w == side:
+        if h == w == input_side:
             x[c] = channel
         else:
-            x[c], _ = affine_bilinear(channel, m, side, side)
-    return r
+            x[c], _ = affine_bilinear(channel, m, input_side, input_side)
+    return x, r
 
 
 def build_training_arrays(
     samples: list[PairSample], cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Network inputs plus translation and rotation/scale target rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The compact training set: frames, block flow and target rows.
 
-    The flow of every pair comes from one stacked ``compute_flow`` call,
-    and each pair's inputs are written straight into the returned
-    ``(n, INPUT_CHANNELS, S, S)`` array.
+    Returns the ``(n, 2, S, S)`` uint8 frames of every pair, their
+    ``(n, 2, nby, nbx)`` block flow (u, v) from one stacked
+    ``compute_flow`` call, and the translation and rotation/scale
+    targets.  :func:`write_inputs` expands a batch of them into network
+    inputs.  Frames must be S x S, so network pixels are frame pixels
+    and the translation scale factor is 1.
     """
-    flows = compute_flow(
-        stack_frames([s.frame_a for s in samples]),
-        stack_frames([s.frame_b for s in samples]),
-    )
     side = cfg.input_side
-    x = np.empty((len(samples), INPUT_CHANNELS, side, side))
-    t_tr = []
-    t_rs = []
+    shapes = sorted({np.shape(f) for s in samples for f in (s.frame_a, s.frame_b)})
+    if shapes != [(side, side)]:
+        raise InvalidSpecError(f"training frames must be {side}x{side}, got {shapes}")
+    frames = np.empty((len(samples), 2, side, side), dtype=np.uint8)
     for p, s in enumerate(samples):
-        r = _fill_inputs(x[p], np.asarray(s.frame_a), np.asarray(s.frame_b), flows.pair(p))
-        t_tr.append((s.params.tx * r, s.params.ty * r))
-        t_rs.append((s.params.theta, s.params.s))
-    return x, np.array(t_tr, dtype=np.float64), np.array(t_rs, dtype=np.float64)
+        frames[p, 0] = s.frame_a
+        frames[p, 1] = s.frame_b
+    flows = compute_flow(frames[:, 0], frames[:, 1])
+    flow = np.stack([flows.u, flows.v], axis=1)
+    t_tr = np.array([(s.params.tx, s.params.ty) for s in samples], dtype=np.float64)
+    t_rs = np.array([(s.params.theta, s.params.s) for s in samples], dtype=np.float64)
+    return frames, flow, t_tr, t_rs
+
+
+def write_inputs(dst: np.ndarray, frames: np.ndarray, flow: np.ndarray, rows: np.ndarray) -> None:
+    """Write the network inputs of pairs ``rows`` into ``dst``.
+
+    ``dst`` is an (len(rows), INPUT_CHANNELS, S, S) view, such as the
+    first layer's padded interior; ``frames`` and ``flow`` are those of
+    :func:`build_training_arrays`.  The bits equal
+    :func:`preprocess_pair`'s: frames divided by 255, and each block's
+    flow over its tile, the last block row and column repeated over any
+    pixels the block grid leaves.
+    """
+    np.divide(frames[rows], 255.0, out=dst[:, :2])
+    nby, nbx = flow.shape[2:]
+    h, w = nby * BLOCK_SIZE, nbx * BLOCK_SIZE
+    # The block grid's tiles, as a view: setting .shape raises rather
+    # than copy.
+    tiles = dst[:, 2:, :h, :w]
+    tiles.shape = (len(rows), 2, nby, BLOCK_SIZE, nbx, BLOCK_SIZE)
+    tiles[...] = flow[rows][:, :, :, None, :, None]
+    dst[:, 2:, h:] = dst[:, 2:, h - 1 : h]
+    dst[:, 2:, :, w:] = dst[:, 2:, :, w - 1 : w]
 
 
 @dataclass
@@ -210,7 +228,8 @@ class TrainResult:
 
 def _train_one(
     name: str,
-    x: np.ndarray,
+    frames: np.ndarray,
+    flow: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
     epochs: int,
@@ -229,7 +248,7 @@ def _train_one(
     net = ConvRegressor(shape, seed=seed, workspace=workspace)
     opt = Adam(cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
-    n = x.shape[0]
+    n = len(frames)
     log: list[tuple[str, int, float]] = []
     for epoch in range(epochs):
         if drop_lr and epoch == cfg.lr_drop_epoch:
@@ -239,7 +258,9 @@ def _train_one(
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             mask = net.make_dropout_mask(len(idx), rng)
-            loss, grads = net.loss_and_grads(x, t_std[idx], dropout_mask=mask, rows=idx)
+            loss, grads = net.loss_and_grads(
+                lambda dst: write_inputs(dst, frames, flow, idx), t_std[idx], dropout_mask=mask
+            )
             if not math.isfinite(loss):
                 raise NonFiniteLossError(name, epoch, bi)
             opt.step(net.params, grads)
@@ -251,20 +272,25 @@ def _train_one(
 def train(samples: list[PairSample], cfg: TrainConfig) -> TrainResult:
     """Train the translation and rotation/scale regressors.
 
-    The two heads train one after the other on one ``Workspace``, which
-    is dropped when this returns.
+    Training keeps the pairs' uint8 frames and block flow, not their
+    float64 inputs: each step expands its batch straight into the first
+    layer's padded input, so memory grows by about 8 kB per 64 x 64
+    pair rather than 131 kB.  The two heads train one after the other
+    on one ``Workspace``, which is dropped when this returns.
     """
     if len(samples) < cfg.batch_size:
         raise InvalidSpecError(
             f"need at least one full batch ({cfg.batch_size}), got {len(samples)}"
         )
-    x, t_tr, t_rs = build_training_arrays(samples, cfg)
+    frames, flow, t_tr, t_rs = build_training_arrays(samples, cfg)
     ws = Workspace()
     net_tr, mean_tr, std_tr, log_tr = _train_one(
-        "translation", x, t_tr, cfg, cfg.epochs_tr, ws, drop_lr=True, seed=cfg.seed * 2 + 1
+        "translation", frames, flow, t_tr, cfg, cfg.epochs_tr, ws,
+        drop_lr=True, seed=cfg.seed * 2 + 1,
     )
     net_rs, mean_rs, std_rs, log_rs = _train_one(
-        "rotscale", x, t_rs, cfg, cfg.epochs_rs, ws, drop_lr=False, seed=cfg.seed * 2 + 2
+        "rotscale", frames, flow, t_rs, cfg, cfg.epochs_rs, ws,
+        drop_lr=False, seed=cfg.seed * 2 + 2,
     )
     tensors: dict[str, np.ndarray] = {}
     for prefix, net in (("tr", net_tr), ("rs", net_rs)):

@@ -55,7 +55,9 @@ flat float64 arrays (``cols``, ``out``, ``dy_rows``, ``dxp``) at
 least as long as the intermediates they hold.  A kernel overwrites
 them and may return views of them, so a result lives only until the
 caller reuses its scratch; without them it allocates.
-``cnn.Workspace`` owns these arrays during training.
+``dy_rows`` and ``dxp`` may be one array: ``conv2d_backward`` reads
+the channels-last copy of ``dy`` only to form ``dcols``, before it
+zeroes ``dxp``.  ``cnn.Workspace`` owns these arrays during training.
 """
 
 from __future__ import annotations

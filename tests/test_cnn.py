@@ -115,14 +115,20 @@ def reference_backward(net, cache, dy):
     return grads
 
 
-def reference_loss_and_grads(net, x, targets, dropout_mask=None, rows=None):
-    """``ConvRegressor.loss_and_grads`` through the einsum reference;
-    a ``rows`` index selects the batch from ``x``."""
-    if rows is not None:
-        x = np.asarray(x)[rows]
+def reference_loss_and_grads(net, write, targets, dropout_mask=None):
+    """``ConvRegressor.loss_and_grads`` through the einsum reference, on
+    the batch ``write`` puts into a fresh array."""
+    s = net.shape
+    x = np.empty((len(targets), s.in_channels, s.input_side, s.input_side))
+    write(x)
     y, cache = reference_forward(net, x, dropout_mask)
     diff = y - targets
     return float(np.mean(diff * diff)), reference_backward(net, cache, 2.0 * diff / diff.size)
+
+
+def batch(x):
+    """A batch writer that copies ``x``."""
+    return lambda dst: np.copyto(dst, x)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,10 @@ def test_backward_is_bit_identical_to_einsum(n, c, f, side, stride):
     # Scratch arrays, filled with garbage, must not change the result.
     size = max(xp.size, dy.size) * 9
     scratch = {k: np.full(size, np.nan) for k in ("cols", "dy_rows", "dxp")}
-    for dy_in, kw in [(dy, {}), (dy_last, {}), (dy_chan, {}), (dy, scratch)]:
+    # dy_rows is dead before dxp is zeroed, so one array may hold both.
+    shared = np.full(max(xp.size, dy.size), np.nan)
+    aliased = {"cols": np.full(size, np.nan), "dy_rows": shared, "dxp": shared}
+    for dy_in, kw in [(dy, {}), (dy_last, {}), (dy_chan, {}), (dy, scratch), (dy, aliased)]:
         dxp, dw, db = conv2d_backward(xp, w, dy_in, stride, **kw)
         assert dxp.shape == xp.shape
         np.testing.assert_array_equal(dxp, want_dxp)
@@ -179,7 +188,7 @@ def test_loss_and_grads_match_central_differences(dropout):
     x = rng.normal(size=(3, 2, 8, 8))
     targets = rng.normal(size=(3, 2))
     mask = net.make_dropout_mask(3, rng) if dropout else None
-    _, grads = net.loss_and_grads(x, targets, dropout_mask=mask)
+    _, grads = net.loss_and_grads(batch(x), targets, dropout_mask=mask)
     assert set(grads) == set(net.params)
     eps = 1e-6
     for name, value in net.params.items():
@@ -188,9 +197,9 @@ def test_loss_and_grads_match_central_differences(dropout):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            up, _ = net.loss_and_grads(x, targets, dropout_mask=mask)
+            up, _ = net.loss_and_grads(batch(x), targets, dropout_mask=mask)
             flat[k] = orig - eps
-            down, _ = net.loss_and_grads(x, targets, dropout_mask=mask)
+            down, _ = net.loss_and_grads(batch(x), targets, dropout_mask=mask)
             flat[k] = orig
             numeric[k] = (up - down) / (2 * eps)
         np.testing.assert_allclose(
@@ -242,14 +251,14 @@ def test_loss_and_grads_is_bit_identical_to_einsum_reference(dropout):
     net, x, rng = _benchmark_net()
     targets = rng.normal(size=(40, 2))
     mask = net.make_dropout_mask(40, rng) if dropout else None
-    want_loss, want = reference_loss_and_grads(net, x, targets, dropout_mask=mask)
+    want_loss, want = reference_loss_and_grads(net, batch(x), targets, dropout_mask=mask)
     # The second step runs on reused memory and takes its batch as rows
     # of a larger array.
     rows = rng.permutation(80)[:40]
     pool = rng.normal(size=(80, *x.shape[1:]))
     pool[rows] = x
-    for batch, kw in ((x, {}), (pool, {"rows": rows})):
-        loss, grads = net.loss_and_grads(batch, targets, dropout_mask=mask, **kw)
+    for write in (batch(x), lambda dst: np.take(pool, rows, axis=0, out=dst)):
+        loss, grads = net.loss_and_grads(write, targets, dropout_mask=mask)
         assert loss == want_loss
         assert set(grads) == set(want)
         for name in want:
@@ -295,10 +304,10 @@ def test_second_training_step_allocates_little():
     net, x, rng = _benchmark_net()
     targets = rng.normal(size=(40, 2))
     mask = net.make_dropout_mask(40, rng)
-    net.loss_and_grads(x, targets, dropout_mask=mask)
+    net.loss_and_grads(batch(x), targets, dropout_mask=mask)
     tracemalloc.start()
     try:
-        net.loss_and_grads(x, targets, dropout_mask=mask)
+        net.loss_and_grads(batch(x), targets, dropout_mask=mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -319,7 +328,7 @@ def test_no_workspace_outlives_training():
     # The workspace training holds at its peak: one head's, after a step
     # on a batch of the same shape.
     net, x, rng = _benchmark_net(side=cfg.input_side)
-    net.loss_and_grads(x, rng.normal(size=(40, 2)))
+    net.loss_and_grads(batch(x), rng.normal(size=(40, 2)))
     ws = net.workspace
     ws_bytes = sum(a.nbytes for a in (*ws._flat.values(), *ws._padded.values()))
     del net, x, ws
