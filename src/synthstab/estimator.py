@@ -37,6 +37,10 @@ MIN_FLOW_CELLS = 8
 MIN_PREDICTED_SCALE = 0.01
 # Frame a, frame b, flow u, flow v.
 INPUT_CHANNELS = 4
+# Pairs per compute_flow call of build_training_arrays: the flow of
+# 1,200 64x64 pairs peaks at a fraction of one call's memory and takes
+# no longer (table in CHANGES.md).
+TRAIN_FLOW_GROUP = 100
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +180,11 @@ def build_training_arrays(
     """The compact training set: frames, block flow and target rows.
 
     Returns the ``(n, 2, S, S)`` uint8 frames of every pair, their
-    ``(n, 2, nby, nbx)`` block flow (u, v) from one stacked
-    ``compute_flow`` call, and the translation and rotation/scale
-    targets.  :func:`write_inputs` expands a batch of them into network
-    inputs.  Frames must be S x S, so network pixels are frame pixels
-    and the translation scale factor is 1.
+    ``(n, 2, nby, nbx)`` block flow (u, v) from stacked ``compute_flow``
+    calls of ``TRAIN_FLOW_GROUP`` pairs each, and the translation and
+    rotation/scale targets.  :func:`write_inputs` expands a batch of
+    them into network inputs.  Frames must be S x S, so network pixels
+    are frame pixels and the translation scale factor is 1.
     """
     side = cfg.input_side
     shapes = sorted({np.shape(f) for s in samples for f in (s.frame_a, s.frame_b)})
@@ -190,8 +194,14 @@ def build_training_arrays(
     for p, s in enumerate(samples):
         frames[p, 0] = s.frame_a
         frames[p, 1] = s.frame_b
-    flows = compute_flow(frames[:, 0], frames[:, 1])
-    flow = np.stack([flows.u, flows.v], axis=1)
+    # Each pair's flow is bit-identical to a call on that pair alone, so
+    # the group size changes memory and time only.
+    flow = np.empty((len(samples), 2, side // BLOCK_SIZE, side // BLOCK_SIZE))
+    for g in range(0, len(samples), TRAIN_FLOW_GROUP):
+        group = slice(g, g + TRAIN_FLOW_GROUP)
+        part = compute_flow(frames[group, 0], frames[group, 1])
+        flow[group, 0] = part.u
+        flow[group, 1] = part.v
     t_tr = np.array([(s.params.tx, s.params.ty) for s in samples], dtype=np.float64)
     t_rs = np.array([(s.params.theta, s.params.s) for s in samples], dtype=np.float64)
     return frames, flow, t_tr, t_rs

@@ -3,16 +3,18 @@
 Frames are compared block by block with integer SAD; each level seeds
 the next finer one, and only the finest level adds parabolic subpixel
 refinement.  Flat blocks and matches with a high residual are marked
-invalid rather than reported as motion.
+invalid rather than reported as motion; a block's grey-level range is
+reduced over its rows first, which runs over whole frame rows.
 
 ``compute_flow`` takes one frame pair or a ``(P, h, w)`` stack of
 pairs, such as the consecutive pairs of a clip, and runs every level
 over the whole stack, so numpy's per-call set-up is paid once per
 level instead of once per pair.  The SAD search itself stays the 2-D
 kernel ``kernels.sad_volume``: the frames of a level are laid out as
-one tall image, each padded to a whole number of block rows, and the
-kernel runs on row slices of it.  The benchmark's SAD counter and its
-bitwise re-check of sampled kernel calls take 2-D frames, so a 2-D
+one tall image, and the kernel runs on row slices of it.  A stack whose
+frame height is a whole number of block rows already is that image;
+other frames are first padded to one.  The benchmark's SAD counter and
+its bitwise re-check of sampled kernel calls take 2-D frames, so a 2-D
 kernel keeps both working.  Candidates that leave their own frame's
 rows read a neighbouring frame of the tall image and are marked
 invalid afterwards, so every pair's flow is bit-identical to a call on
@@ -34,9 +36,10 @@ from .kernels import INVALID_SAD, sad_volume
 BLOCK_SIZE = 16
 TEXTURE_MIN_RANGE = 8
 QUALITY_MAX_SAD_PER_PIXEL = 40.0
-# Cap on the int16 difference temporary of one sad_volume call, in
-# entries (4 MB): one 128x128 pair at 16 px blocks, 6-25 pairs at the
-# coarser levels.  Larger calls run slower, out of cache.
+# Cap on the absolute differences one sad_volume call computes
+# (k*k*block*block per block): one 128x128 pair at 16 px blocks, 6-25
+# pairs at the coarser levels.  Set when the kernel held all of them in
+# one temporary; its streamed buffers now hold a block-th of that.
 SAD_CALL_ENTRIES = 2 * 1024 * 1024
 
 
@@ -147,20 +150,25 @@ def _sad_stack(
     """``sad_volume`` of every pair of a ``(P, h, w)`` stack, as
     ``(P, nby, nbx, k, k)``, through row slices of one tall image.
 
-    Each frame is padded to whole block rows (the volume of a partial
-    block row is dropped), and each kernel call takes as many pairs as
-    fit under ``SAD_CALL_ENTRIES``.
+    A frame whose height is not a whole number of block rows is padded
+    to one (the volume of the partial block row is dropped); other
+    stacks are reshaped without a copy.  Each kernel call takes as many
+    pairs as fit under ``SAD_CALL_ENTRIES``.
     """
     p, h, w = a.shape
     nby, nbx = seed_du.shape[1:]
     rows = -(-h // block)
     stride = rows * block
-    frame_pad = ((0, 0), (0, stride - h), (0, 0))
-    seed_pad = ((0, 0), (0, rows - nby), (0, 0))
-    tall_a = np.pad(a, frame_pad).reshape(p * stride, w)
-    tall_b = np.pad(b, frame_pad).reshape(p * stride, w)
-    du = np.pad(seed_du, seed_pad).reshape(p * rows, nbx)
-    dv = np.pad(seed_dv, seed_pad).reshape(p * rows, nbx)
+    tall_a, tall_b, du, dv = a, b, seed_du, seed_dv
+    if stride != h:
+        frame_pad = ((0, 0), (0, stride - h), (0, 0))
+        seed_pad = ((0, 0), (0, rows - nby), (0, 0))
+        tall_a, tall_b = np.pad(a, frame_pad), np.pad(b, frame_pad)
+        du, dv = np.pad(seed_du, seed_pad), np.pad(seed_dv, seed_pad)
+    tall_a = tall_a.reshape(p * stride, w)
+    tall_b = tall_b.reshape(p * stride, w)
+    du = du.reshape(p * rows, nbx)
+    dv = dv.reshape(p * rows, nbx)
     k = 2 * radius + 1
     chunk = max(1, SAD_CALL_ENTRIES // (k * k * block * block * rows * nbx))
     vols = []
@@ -194,7 +202,11 @@ def _match_level(
     blocks = a[:, : nby * block_size, : nbx * block_size].reshape(
         p, nby, block_size, nbx, block_size
     )
-    texture = blocks.max(axis=(2, 4)).astype(np.int64) - blocks.min(axis=(2, 4))
+    # Range over block rows first, as whole contiguous frame rows, then
+    # over the columns; max and min are exact in any order.
+    hi = np.maximum.reduce(blocks, axis=2).max(axis=3)
+    lo = np.minimum.reduce(blocks, axis=2).min(axis=3)
+    texture = hi.astype(np.int64) - lo
     win = vol.reshape(p, nby, nbx, k * k)
     flat = win.argmin(axis=3)
 

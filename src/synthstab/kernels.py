@@ -8,11 +8,13 @@ evaluates one floating-point expression tree per sample position, and
 ``affine_bilinear`` only builds those positions from a 2x3 matrix.  The
 SAD kernel works in integers, with the block index on the contiguous
 axis of its temporaries so that numpy's inner loops run across blocks.
-It sums block rows in int16, which no 8-bit difference can overflow
-within 128 rows, so that the row additions run over whole contiguous
-rows of the temporary without a cast; only the much smaller row sums
-are widened to int64.  Both kernels are therefore exact against their
-brute-force loop oracles, not merely close.
+It streams over the block rows: each row's absolute differences for
+every offset and block go into one reused int16 buffer and are added
+into a second, so no temporary holds the differences of a whole block.
+No 8-bit difference sum can overflow int16 within 128 rows, so the
+additions need no cast; only the per-column sums are widened to int64.
+Both kernels are therefore exact against their brute-force loop
+oracles, not merely close.
 
 Both kernels gather pixels with one ``take(..., mode="clip")`` on the
 flattened image per gather, with no clamped row and column indices.
@@ -155,15 +157,8 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     C-contiguous int64 array of shape ``(nby, nbx, k, k)``, with
     ``k = 2*radius + 1``.
 
-    Pixel values must lie in 0..255 (8-bit frames): differences are
-    taken in int16, through a temporary of ``k*k*block*block*nby*nbx``
-    int16 entries.  Its memory does not grow with the seed magnitude.
-    The flat block index ``by*nbx + bx`` is the last, contiguous axis
-    of every temporary, so each elementwise pass and each addition of
-    the reduction runs over all blocks at once rather than over the
-    pixels of one block row.
-
-    The search windows are gathered by flat index into ``b`` with one
+    Pixel values must lie in 0..255 (8-bit frames).  The search windows
+    are gathered by flat index into ``b`` with one
     ``take(..., mode="clip")``.  A window entry outside the frame then
     reads some in-frame pixel instead: the wrapped-around pixel of a
     neighbouring row, or the first or last pixel of ``b``.  That value
@@ -171,14 +166,29 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     cover such an entry; their SADs are overwritten with
     ``INVALID_SAD``, so no output depends on what was read.
 
-    The reduction sums the block rows first, in int16: each row
-    addition then spans ``block * nby*nbx`` contiguous entries and
-    needs no cast, where an int64 sum casts every difference through
-    numpy's buffered loop.  Each absolute difference is at most 255,
-    so a sum of up to ``SAD_ROW_CHUNK = 128`` rows is at most 32640
-    and fits in int16.  Taller blocks are summed in chunks of 128 rows
-    whose column sums are added in int64, so the one path is exact for
-    every block size.
+    The reduction streams over the block rows.  For row ``r``, the
+    differences of every offset, column and block are written to ``d``
+    by ``np.subtract(cand[:, :, r], blk[r], out=d)``, made absolute in
+    place and added into ``acc``.  With ``n = nby*nbx`` and ``s =
+    k-1+block``, the temporaries are:
+
+    - the gathered windows, ``s*s*n`` int16 entries, and their flat
+      indices, ``s*s*n`` int64 entries;
+    - ``d`` and ``acc``, ``k*k*block*n`` int16 entries each (165 kB at
+      one 128x128 frame, 16 px blocks, radius 4);
+    - the column sums, ``k*k*n`` int64 entries, and the volume.
+
+    None of them grows with the seed magnitude, and none holds the
+    ``k*k*block*block*n`` differences of whole blocks at once.  The flat
+    block index is the last, contiguous axis of each, so every pass
+    runs over all blocks at once.
+
+    ``acc`` cannot overflow: each difference lies in -255..255, and its
+    absolute value is at most 255, so a column sum of up to
+    ``SAD_ROW_CHUNK = 128`` rows is at most 32640 <= 32767.  Every 128
+    rows, ``acc``'s column sums are added into the int64 result and the
+    next row overwrites ``acc``; so the one path is exact for every
+    block size.
     """
     a = np.ascontiguousarray(a, dtype=np.int16)
     b = np.ascontiguousarray(b, dtype=np.int16)
@@ -203,14 +213,21 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     cand = cand.transpose(0, 1, 3, 4, 2)
     blk = a[: nby * block, : nbx * block].reshape(nby, block, nbx, block)
     blk = blk.transpose(1, 3, 0, 2).reshape(block, block, nby * nbx)
-    diff = cand - blk
-    np.abs(diff, out=diff)
     # Rows in int16 within each chunk, then columns and chunks in int64.
-    sad = sum(
-        diff[:, :, r : r + SAD_ROW_CHUNK].sum(axis=2, dtype=np.int16).sum(axis=2, dtype=np.int64)
-        for r in range(0, block, SAD_ROW_CHUNK)
-    ).reshape(k, k, nby, nbx)
-    vol = np.ascontiguousarray(sad.transpose(2, 3, 0, 1))
+    # The first row of a chunk is written straight into acc.
+    acc = np.empty((k, k, block, nby * nbx), dtype=np.int16)
+    d = np.empty_like(acc)
+    sad = np.zeros((k, k, nby * nbx), dtype=np.int64)
+    for r in range(block):
+        first = r % SAD_ROW_CHUNK == 0
+        dst = acc if first else d
+        np.subtract(cand[:, :, r], blk[r], out=dst)
+        np.abs(dst, out=dst)
+        if not first:
+            acc += d
+        if r % SAD_ROW_CHUNK == SAD_ROW_CHUNK - 1 or r == block - 1:
+            sad += acc.sum(axis=2, dtype=np.int64)
+    vol = np.ascontiguousarray(sad.reshape(k, k, nby, nbx).transpose(2, 3, 0, 1))
     off = np.arange(k)
     ys = ty[:, :, None] + off
     xs = tx[:, :, None] + off

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affine import AffineParams, invert, params_to_matrix
+from .affine import AffineParams
 from .dataset import atomic_write_text
 from .errors import MeasurementError
 from .flow import BLOCK_SIZE, FlowField, compute_flow, stack_frames
 from .kernels import affine_bilinear, bilinear_sample
-from .stabilizer import CropWindow
+from .stabilizer import CropWindow, window_sampling
 
 MIN_SERIES_LENGTH = 8
 STABILITY_LOW_BIN = 2
@@ -403,16 +403,17 @@ def cropping_ratio(
     crop: CropWindow,
     applied: list[AffineParams],
 ) -> float:
-    """Mean retained picture area, recomputed from the applied warps."""
+    """Mean retained picture area, recomputed from the applied warps.
+
+    Each warp's in-bounds test samples only the crop window, through
+    the stabilizer's ``window_sampling``.
+    """
     ones = np.ones((orig_height, orig_width), dtype=np.float64)
     total = 0.0
     for params in applied:
-        sampling = invert(params_to_matrix(params))
-        _, inside = affine_bilinear(ones, sampling, orig_height, orig_width)
-        window = inside[
-            crop.y0 : crop.y0 + crop.height, crop.x0 : crop.x0 + crop.width
-        ]
-        total += crop.area * float(window.mean())
+        sampling = window_sampling(params, crop)
+        _, inside = affine_bilinear(ones, sampling, crop.height, crop.width)
+        total += crop.area * float(inside.mean())
     return total / (len(applied) * orig_width * orig_height)
 
 

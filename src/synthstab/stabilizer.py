@@ -3,7 +3,10 @@
 The stabilizer accumulates per-pair motion estimates into a camera
 trajectory, smooths it, and warps every frame by the similarity taking
 its raw pose to the smoothed pose.  A centered crop hides the border
-that warping exposes.
+that warping exposes, so only the crop window is sampled:
+``window_sampling`` folds the window's origin into the sampling
+matrix.  ``metrics.cropping_ratio`` uses the same matrix, so its
+in-bounds test is the stabilizer's own, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,19 +69,37 @@ class CropWindow:
         return self.width * self.height
 
 
-def _warp(frame: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
-    """Warped uint8 frame and its boolean in-bounds mask.
+def window_sampling(params: AffineParams, crop: CropWindow) -> np.ndarray:
+    """2x3 matrix from crop-window pixels to source-frame coordinates.
+
+    ``params`` is the forward warp.  Window pixel ``(x, y)`` is frame
+    pixel ``(x + x0, y + y0)``, so the matrix is the inverse warp ``s``
+    with column 2 replaced by ``s[:, 0]*x0 + s[:, 1]*y0 + s[:, 2]``.
+    The sample positions can differ in the last bit from those of the
+    whole frame's sampling, which the uint8 rounding of the warp absorbs;
+    ``tests/test_stabilizer.py`` keeps the whole-frame warp as the
+    reference and asserts byte-equal frames.
+    """
+    s = invert(params_to_matrix(params))
+    s[:, 2] = s[:, 0] * crop.x0 + s[:, 1] * crop.y0 + s[:, 2]
+    return s
+
+
+def _warp(
+    frame: np.ndarray, params: AffineParams, crop: CropWindow
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crop window of the warped frame, as uint8, and its in-bounds mask.
 
     ``params`` is the forward map: output pixel ``q`` shows the input at
     the preimage of ``q``.  Pixels mapping outside the input are 0.
+    Only the window's pixels are sampled.
     """
     fwd = params_to_matrix(params)
     det = fwd[0, 0] * fwd[1, 1] - fwd[0, 1] * fwd[1, 0]
     if abs(det) < 1e-12:
         raise InvalidSpecError(f"transform {params} is not invertible")
-    sampling = invert(fwd)
     vals, inside = affine_bilinear(
-        frame.astype(np.float64), sampling, frame.shape[0], frame.shape[1]
+        frame.astype(np.float64), window_sampling(params, crop), crop.height, crop.width
     )
     out = np.where(inside, np.clip(np.rint(vals), 0, 255), 0.0).astype(np.uint8)
     return out, inside
@@ -145,10 +166,9 @@ def stabilize_video(
     fractions: list[float] = [1.0]
     warnings: list[str] = []
     for i in range(1, len(frames)):
-        warped, inside = _warp(frames[i], applied[i])
-        window_mask = crop.apply(inside.astype(np.uint8))
-        fraction = float(window_mask.mean())
-        out_frames.append(crop.apply(warped))
+        warped, inside = _warp(frames[i], applied[i], crop)
+        fraction = float(inside.mean())
+        out_frames.append(warped)
         fractions.append(fraction)
         if fraction < 1.0:
             warnings.append(

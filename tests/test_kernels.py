@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from synthstab.kernels import (
     INVALID_SAD,
+    SAD_ROW_CHUNK,
     affine_bilinear,
     backend_name,
     bilinear_sample,
@@ -309,6 +311,43 @@ def test_sad_volume_reaches_the_saturated_maximum(block, dark_first):
     want = sad_volume_oracle(a, b, block, seed, seed, 2)
     np.testing.assert_array_equal(got, want)
     assert got[got != INVALID_SAD].min() == got[got != INVALID_SAD].max() == 255 * block * block
+
+
+def test_sad_volume_matches_oracle_past_one_row_chunk():
+    # 130 rows: the int16 column sums of the first 128 are widened to
+    # int64 before the last 2 start a second chunk.
+    block = 130
+    assert SAD_ROW_CHUNK < block < 2 * SAD_ROW_CHUNK
+    rng = np.random.default_rng(130)
+    a = rng.integers(0, 256, size=(2 * block + 3, 2 * block)).astype(np.int16)
+    b = rng.integers(0, 256, size=a.shape).astype(np.int16)
+    seed_du = rng.integers(-2, 3, size=(2, 2))
+    seed_dv = rng.integers(-2, 3, size=(2, 2))
+    got = sad_volume(a, b, block, seed_du, seed_dv, 1)
+    want = sad_volume_oracle(a, b, block, seed_du, seed_dv, 1)
+    np.testing.assert_array_equal(got, want)
+    # Both in-frame and off-frame offsets occur, and the sums exceed
+    # one int16 chunk's range.
+    assert (got == INVALID_SAD).any() and (got < INVALID_SAD).any()
+    assert got[got < INVALID_SAD].min() > np.iinfo(np.int16).max
+
+
+def test_sad_volume_memory_stays_below_the_block_differences():
+    # One 128x128 frame at 16 px blocks and radius 4: the differences of
+    # whole blocks would take 81 * 16 * 16 * 64 int16 entries (2.65 MB).
+    rng = np.random.default_rng(16)
+    a = rng.integers(0, 256, size=(128, 128)).astype(np.int16)
+    b = rng.integers(0, 256, size=(128, 128)).astype(np.int16)
+    seed = np.zeros((8, 8), dtype=np.int64)
+    sad_volume(a, b, 16, seed, seed, 4)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        sad_volume(a, b, 16, seed, seed, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1_000_000
 
 
 def test_sad_volume_zero_at_true_shift():

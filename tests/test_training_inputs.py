@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from synthstab import estimator
 from synthstab.errors import InvalidSpecError
 from synthstab.estimator import (
     INPUT_CHANNELS,
@@ -70,6 +71,18 @@ def test_training_arrays_hold_each_pairs_inputs(frame_side, input_side):
         assert x[p].tobytes() == want.tobytes()
         assert t_tr[p].tolist() == [s.params.tx, s.params.ty]
         assert t_rs[p].tolist() == [s.params.theta, s.params.s]
+
+
+@pytest.mark.parametrize("group", [1, 5, 12, 100])
+def test_grouped_training_flow_equals_one_stacked_call(monkeypatch, group):
+    # 12 pairs in groups of 5 leave a short last group.
+    samples = sample_random_pairs(12, side=32, seed=4)
+    monkeypatch.setattr(estimator, "TRAIN_FLOW_GROUP", group)
+    _, flow, _, _ = build_training_arrays(samples, TrainConfig(input_side=32))
+    one = compute_flow(
+        np.stack([s.frame_a for s in samples]), np.stack([s.frame_b for s in samples])
+    )
+    assert flow.tobytes() == np.stack([one.u, one.v], axis=1).tobytes()
 
 
 @pytest.mark.parametrize("side", [64, 32, 40])
