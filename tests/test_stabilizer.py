@@ -15,8 +15,8 @@ from synthstab.stabilizer import CROP_RATIO, CropWindow, _warp, stabilize_video
 
 def full_frame_warp(frame, params):
     """The whole warped frame and its in-bounds mask, sampled at every
-    frame pixel: the stabilizer's warp before it sampled only the crop
-    window, kept as the reference."""
+    frame pixel: the reference for the stabilizer's crop-window
+    sampling, which must match its crop bit for bit."""
     sampling = invert(params_to_matrix(params))
     vals, inside = affine_bilinear(frame.astype(np.float64), sampling, *frame.shape)
     out = np.where(inside, np.clip(np.rint(vals), 0, 255), 0.0).astype(np.uint8)
@@ -86,8 +86,8 @@ def test_window_warp_equals_full_frame_warp_then_crop(layers, style, backend, cr
         assert res.frames[i].tobytes() == res.crop.apply(warped).tobytes()
         want = float(res.crop.apply(inside.astype(np.uint8)).mean())
         assert res.valid_fractions[i] == want
-    # The clips move the window partly off the frame, which the full
-    # window shows as warp fill.
+    # The full-frame window shows warp fill and the 0.8 crop hides it,
+    # so valid fractions below and at 1.0 are both compared.
     assert (min(res.valid_fractions) < 1.0) == (crop_ratio == 1.0)
 
 
