@@ -19,6 +19,21 @@ kernel keeps both working.  Candidates that leave their own frame's
 rows read a neighbouring frame of the tall image and are marked
 invalid afterwards, so every pair's flow is bit-identical to a call on
 that pair alone.
+
+How many pairs one kernel call takes is set by ``SAD_BUFFER_ENTRIES``,
+the cap on each of the two int16 buffers the kernel streams its row
+differences through.  Blockmatch estimation of 8 ``stabilize_bm``
+clips (128x128, 25 frames; median of 7 alternating runs on a 2-vCPU
+Xeon with 2 MiB of L2 per core):
+
+    =========================  ===========================  ========
+    cap on one buffer          pairs per call, 16/8/4 px    time
+    =========================  ===========================  ========
+    128 Ki entries             1 / 3 / 6                    213.2 ms
+    256 Ki entries             3 / 6 / 12                   169.4 ms
+    512 Ki entries             6 / 12 / 25                  181.1 ms
+    1 Mi entries               12 / 25 / 50                 213.8 ms
+    =========================  ===========================  ========
 """
 
 from __future__ import annotations
@@ -31,16 +46,19 @@ import numpy as np
 from .errors import InvalidSpecError, MeasurementError
 from .kernels import INVALID_SAD, sad_volume
 
-# Block side of every flow field: the default of ``compute_flow``, and
-# the side that ``metrics`` scores stability and distortion on.
+# Block side of every flow field at full resolution, and the side that
+# ``metrics`` scores stability and distortion on.
 BLOCK_SIZE = 16
+# Search radius in pixels around each block's seed, at every level.
+SEARCH_RADIUS = 4
 TEXTURE_MIN_RANGE = 8
 QUALITY_MAX_SAD_PER_PIXEL = 40.0
-# Cap on the absolute differences one sad_volume call computes
-# (k*k*block*block per block): one 128x128 pair at 16 px blocks, 6-25
-# pairs at the coarser levels.  Set when the kernel held all of them in
-# one temporary; its streamed buffers now hold a block-th of that.
-SAD_CALL_ENTRIES = 2 * 1024 * 1024
+# Cap on the entries of each of the two int16 buffers that sad_volume
+# streams its row differences through (k*k*block per block, so
+# k*k*block*rows*nbx per pair): 512 kB each, inside a 2 MiB L2 cache.
+# A call takes 3 pairs of 128x128 frames at 16 px blocks, 6 at 8 px
+# and 12 at 4 px.
+SAD_BUFFER_ENTRIES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -91,12 +109,22 @@ def stack_frames(frames: list[np.ndarray]) -> np.ndarray:
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
-    """2x2 integer mean with round-half-up over the last two axes."""
+    """2x2 integer mean with round-half-up over the last two axes, as
+    int16.
+
+    Pixel values must lie in 0..255: a 2x2 sum plus the rounding 2 is
+    then at most 1022, so the sums stay in int16.  Row pairs are added
+    first, over whole rows, then column pairs; the arithmetic shift of
+    the non-negative sum is its floor division by 4.
+    """
     h, w = img.shape[-2:]
     h2, w2 = h // 2, w // 2
-    a = img[..., : 2 * h2, : 2 * w2].astype(np.int32)
-    s = a[..., 0::2, 0::2] + a[..., 0::2, 1::2] + a[..., 1::2, 0::2] + a[..., 1::2, 1::2]
-    return ((s + 2) // 4).astype(np.int16)
+    a = img[..., : 2 * h2, : 2 * w2]
+    rows = np.add(a[..., 0::2, :], a[..., 1::2, :], dtype=np.int16)
+    s = rows[..., 0::2] + rows[..., 1::2]
+    s += 2
+    s >>= 2
+    return s
 
 
 def _build_pyramid(
@@ -153,7 +181,9 @@ def _sad_stack(
     A frame whose height is not a whole number of block rows is padded
     to one (the volume of the partial block row is dropped); other
     stacks are reshaped without a copy.  Each kernel call takes as many
-    pairs as fit under ``SAD_CALL_ENTRIES``.
+    pairs as keep its streamed buffers, ``k*k*block*rows*nbx`` int16
+    entries per pair each, within ``SAD_BUFFER_ENTRIES``, and at least
+    one pair.
     """
     p, h, w = a.shape
     nby, nbx = seed_du.shape[1:]
@@ -170,7 +200,7 @@ def _sad_stack(
     du = du.reshape(p * rows, nbx)
     dv = dv.reshape(p * rows, nbx)
     k = 2 * radius + 1
-    chunk = max(1, SAD_CALL_ENTRIES // (k * k * block * block * rows * nbx))
+    chunk = max(1, SAD_BUFFER_ENTRIES // (k * k * block * rows * nbx))
     vols = []
     for first in range(0, p, chunk):
         px = slice(first * stride, (first + chunk) * stride)
@@ -256,8 +286,6 @@ def _match_level(
 def compute_flow(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
-    block_size: int = BLOCK_SIZE,
-    search_radius: int = 4,
     levels: int = 3,
     max_sad_per_pixel: float = QUALITY_MAX_SAD_PER_PIXEL,
 ) -> FlowField:
@@ -265,7 +293,9 @@ def compute_flow(
 
     The frames are ``(h, w)`` arrays, or ``(P, h, w)`` stacks of P
     pairs; the flow field has the same leading axis.  Each pair's flow
-    is bit-identical to a call on that pair alone.
+    is bit-identical to a call on that pair alone.  Blocks are
+    ``BLOCK_SIZE`` px at full resolution and halve per pyramid level;
+    every level searches ``SEARCH_RADIUS`` px around its seed.
 
     ``max_sad_per_pixel`` may be raised when the two frames differ in
     sharpness (one resampled, one not), where even perfect matches
@@ -282,20 +312,16 @@ def compute_flow(
         raise MeasurementError(
             f"frame shapes differ: {fa.shape} vs {fb.shape}"
         )
-    if block_size < 4:
-        raise InvalidSpecError("block_size must be at least 4")
-    if search_radius < 1:
-        raise InvalidSpecError("search_radius must be at least 1")
     if levels < 1:
         raise InvalidSpecError("levels must be at least 1")
-    if min(fa.shape[-2:]) < block_size:
+    if min(fa.shape[-2:]) < BLOCK_SIZE:
         raise MeasurementError(
-            f"frames of shape {fa.shape[-2:]} are smaller than one {block_size}px block"
+            f"frames of shape {fa.shape[-2:]} are smaller than one {BLOCK_SIZE}px block"
         )
     if fa.ndim == 3 and len(fa) == 0:
         raise MeasurementError("flow input stacks hold no frame pair")
-    pyr_a, sizes = _build_pyramid(fa.reshape(-1, *fa.shape[-2:]), levels, block_size)
-    pyr_b, _ = _build_pyramid(fb.reshape(-1, *fb.shape[-2:]), levels, block_size)
+    pyr_a, sizes = _build_pyramid(fa.reshape(-1, *fa.shape[-2:]), levels, BLOCK_SIZE)
+    pyr_b, _ = _build_pyramid(fb.reshape(-1, *fb.shape[-2:]), levels, BLOCK_SIZE)
     p = pyr_a[0].shape[0]
 
     u = v = valid = None
@@ -320,13 +346,13 @@ def compute_flow(
             a,
             b,
             bs,
-            search_radius,
+            SEARCH_RADIUS,
             seed_du,
             seed_dv,
             subpixel=(level == 0),
             max_sad_per_pixel=max_sad_per_pixel,
         )
-    flow = FlowField(u=u, v=v, valid=valid, block_size=block_size)
+    flow = FlowField(u=u, v=v, valid=valid, block_size=BLOCK_SIZE)
     return flow if fa.ndim == 3 else flow.pair(0)
 
 

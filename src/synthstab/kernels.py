@@ -12,7 +12,8 @@ It streams over the block rows: each row's absolute differences for
 every offset and block go into one reused int16 buffer and are added
 into a second, so no temporary holds the differences of a whole block.
 No 8-bit difference sum can overflow int16 within 128 rows, so the
-additions need no cast; only the per-column sums are widened to int64.
+additions need no cast; the per-column sums are taken in int32, and
+only then added into the int64 volume.
 Both kernels are therefore exact against their brute-force loop
 oracles, not merely close.
 
@@ -176,7 +177,7 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
       indices, ``s*s*n`` int64 entries;
     - ``d`` and ``acc``, ``k*k*block*n`` int16 entries each (165 kB at
       one 128x128 frame, 16 px blocks, radius 4);
-    - the column sums, ``k*k*n`` int64 entries, and the volume.
+    - the column sums, ``k*k*n`` int32 entries, and the int64 volume.
 
     None of them grows with the seed magnitude, and none holds the
     ``k*k*block*block*n`` differences of whole blocks at once.  The flat
@@ -186,9 +187,10 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     ``acc`` cannot overflow: each difference lies in -255..255, and its
     absolute value is at most 255, so a column sum of up to
     ``SAD_ROW_CHUNK = 128`` rows is at most 32640 <= 32767.  Every 128
-    rows, ``acc``'s column sums are added into the int64 result and the
-    next row overwrites ``acc``; so the one path is exact for every
-    block size.
+    rows, ``acc``'s column sums are taken in int32, where each is at
+    most ``block * 32640`` (exact below 65,000 px blocks), added into
+    the int64 result, and the next row overwrites ``acc``; so the one
+    path is exact for every block size the frames can hold.
     """
     a = np.ascontiguousarray(a, dtype=np.int16)
     b = np.ascontiguousarray(b, dtype=np.int16)
@@ -213,7 +215,7 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
     cand = cand.transpose(0, 1, 3, 4, 2)
     blk = a[: nby * block, : nbx * block].reshape(nby, block, nbx, block)
     blk = blk.transpose(1, 3, 0, 2).reshape(block, block, nby * nbx)
-    # Rows in int16 within each chunk, then columns and chunks in int64.
+    # Rows in int16 within each chunk, columns in int32, chunks in int64.
     # The first row of a chunk is written straight into acc.
     acc = np.empty((k, k, block, nby * nbx), dtype=np.int16)
     d = np.empty_like(acc)
@@ -226,7 +228,7 @@ def sad_volume(a, b, block, seed_du, seed_dv, radius):
         if not first:
             acc += d
         if r % SAD_ROW_CHUNK == SAD_ROW_CHUNK - 1 or r == block - 1:
-            sad += acc.sum(axis=2, dtype=np.int64)
+            sad += np.add.reduce(acc, axis=2, dtype=np.int32)
     vol = np.ascontiguousarray(sad.reshape(k, k, nby, nbx).transpose(2, 3, 0, 1))
     off = np.arange(k)
     ys = ty[:, :, None] + off

@@ -13,6 +13,7 @@ from synthstab.flow import (
     QUALITY_MAX_SAD_PER_PIXEL,
     TEXTURE_MIN_RANGE,
     _build_pyramid,
+    _downsample,
     compute_flow,
     stack_frames,
 )
@@ -213,6 +214,44 @@ def test_compute_flow_recovers_known_shift(dx, dy):
 
 
 # ---------------------------------------------------------------------------
+# Pyramid downsampling against its int32 form
+# ---------------------------------------------------------------------------
+
+
+def downsample_reference(img):
+    """The 2x2 round-half-up mean in int32, as it was first written."""
+    h, w = img.shape[-2:]
+    h2, w2 = h // 2, w // 2
+    a = img[..., : 2 * h2, : 2 * w2].astype(np.int32)
+    s = a[..., 0::2, 0::2] + a[..., 0::2, 1::2] + a[..., 1::2, 0::2] + a[..., 1::2, 1::2]
+    return ((s + 2) // 4).astype(np.int16)
+
+
+def _pattern(kind, shape):
+    if kind == "zeros":
+        return np.zeros(shape, np.int16)
+    if kind == "full":
+        return np.full(shape, 255, np.int16)
+    if kind == "checker":
+        yy, xx = np.indices(shape[-2:])
+        return np.broadcast_to(255 * ((yy + xx) % 2), shape).astype(np.int16)
+    return np.random.default_rng(sum(shape)).integers(0, 256, size=shape).astype(np.int16)
+
+
+@pytest.mark.parametrize("kind", ["zeros", "full", "checker", "random"])
+@pytest.mark.parametrize("shape", [(16, 16), (17, 16), (16, 19), (9, 7), (3, 12, 13), (4, 33, 64)])
+def test_downsample_matches_int32_reference(kind, shape):
+    # Odd heights and widths drop their last row or column; (P, h, w)
+    # stacks are downsampled frame by frame.
+    img = _pattern(kind, shape)
+    got = _downsample(img)
+    assert got.dtype == np.int16
+    np.testing.assert_array_equal(got, downsample_reference(img))
+    if kind == "full":
+        assert (got == 255).all()
+
+
+# ---------------------------------------------------------------------------
 # Stacked pairs against one call per pair
 # ---------------------------------------------------------------------------
 
@@ -250,17 +289,32 @@ def test_stacked_flow_splits_pairs_over_sad_calls(monkeypatch):
     real = flow.sad_volume
 
     def counted(a, b, block, seed_du, seed_dv, radius):
-        # Every level of a 128 px frame is 8 blocks tall.
-        assert a.ndim == 2 and a.shape[0] % (8 * block) == 0
-        pairs_per_call.setdefault(block, []).append(a.shape[0] // (8 * block))
+        # Every level of a 128 px frame is 8 blocks tall and 8 wide.
+        n_rows, nbx = seed_du.shape
+        assert nbx == 8 and n_rows % 8 == 0 and a.shape == (n_rows * block, 8 * block)
+        pairs_per_call.setdefault(block, []).append(n_rows // 8)
+        # Each streamed buffer holds k*k*block entries per block, and
+        # stays within the cap unless the call holds one pair.
+        k = 2 * radius + 1
+        assert k * k * block * n_rows * nbx <= flow.SAD_BUFFER_ENTRIES or n_rows == 8
         return real(a, b, block, seed_du, seed_dv, radius)
 
     monkeypatch.setattr(flow, "sad_volume", counted)
     compute_flow(stack_frames([a for a, _, _ in pairs]), stack_frames([b for _, b, _ in pairs]))
     monkeypatch.undo()
-    # One pair per call at 16 px blocks; the pairs of the 8 px level
-    # fill more than one call.
-    assert pairs_per_call == {4: [10], 8: [6, 4], 16: [1] * 10}
+    # Each call takes as many pairs as fit in one streamed buffer, and
+    # at least one; the last call of a level takes the rest.
+    k = 2 * flow.SEARCH_RADIUS + 1
+    want = {}
+    for block in (4, 8, 16):
+        chunk = max(1, flow.SAD_BUFFER_ENTRIES // (k * k * block * 8 * 8))
+        full, rest = divmod(len(pairs), chunk)
+        want[block] = [chunk] * full + [rest] * (rest > 0)
+    assert pairs_per_call == want
+    # The split is exercised: some level takes several calls, and some
+    # call several pairs.
+    assert any(len(calls) > 1 for calls in want.values())
+    assert any(max(calls) > 1 for calls in want.values())
     _assert_stack_matches_pairs(pairs)
 
 

@@ -332,6 +332,21 @@ def test_sad_volume_matches_oracle_past_one_row_chunk():
     assert got[got < INVALID_SAD].min() > np.iinfo(np.int16).max
 
 
+def test_sad_volume_column_sums_of_a_saturated_130_px_block():
+    # All-0 against all-255: each int16 entry of the first row chunk is
+    # 128 * 255 = 32640, and its int32 column sum 130 * 32640, far past
+    # the int16 range, before the int64 volume adds the last 2 rows.
+    block = 130
+    a = np.zeros((2 * block, 2 * block), dtype=np.int16)
+    b = np.full_like(a, 255)
+    seed = np.zeros((2, 2), dtype=np.int64)
+    got = sad_volume(a, b, block, seed, seed, 1)
+    inside = got < INVALID_SAD
+    assert got.dtype == np.int64
+    assert inside.sum() == 4 * 4 and (~inside).any()
+    assert (got[inside] == 255 * block**2).all()
+
+
 def test_sad_volume_memory_stays_below_the_block_differences():
     # One 128x128 frame at 16 px blocks and radius 4: the differences of
     # whole blocks would take 81 * 16 * 16 * 64 int16 entries (2.65 MB).

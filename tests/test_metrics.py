@@ -106,7 +106,8 @@ def test_refinement_matches_loop_on_stabilized_clips(layers, style):
     refined = 0
     for orig, stab in zip(clip.frames, res.frames):
         cropped = metrics._center_crop(orig, *stab.shape)
-        flow = metrics.compute_flow(cropped, stab, block_size=BS, max_sad_per_pixel=120.0)
+        flow = metrics.compute_flow(cropped, stab, max_sad_per_pixel=120.0)
+        assert flow.block_size == BS
         src, dst = metrics._flow_correspondences(flow)
         want = _outcome(refine_reference, cropped, stab, src, dst, BS)
         got = _outcome(metrics._refine_correspondences, cropped, stab, src, dst, BS)
